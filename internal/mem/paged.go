@@ -29,21 +29,28 @@ type Paged[T any] struct {
 	ref   *Dense[T]
 }
 
-// Page geometry: 4096 entries per page. At 8-byte entries a page is
-// 32 KiB — big enough that spine overhead is negligible, small enough
-// that a sparse workload pays for little untouched space around each
-// touched index.
+// Page geometry: 512 entries per page, 4 KiB at 8-byte entries. The size
+// is set by the sparsest access shape: the serving tier's word-indexed
+// tables are touched at one word per line, so a touched line uses 1 of
+// the 8 entries it spans, and a scattered Zipfian tail puts most touched
+// lines on pages of their own. Every untouched entry on an allocated page
+// is heap a cell allocates and clears: 8x larger pages cost the OLTP tier
+// about half again its peak RSS, while the dense STAMP and micro spans,
+// which fill their pages, gain nothing from them. The spine costs one
+// pointer per page — 128 KiB for the word table of a 2²⁰-line span.
 const (
-	pageShift = 12
+	pageShift = 9
 	// PageEntries is the number of table entries per page.
 	PageEntries = 1 << pageShift
 	pageMask    = PageEntries - 1
 
-	// maxPageIndex bounds the page spine like MaxDenseEntries bounds
+	// maxIndexBits bounds the page spine like MaxDenseEntries bounds
 	// Dense: a sparse-key bug (an address computed from corrupt data)
-	// fails loudly instead of allocating an enormous spine. 2²⁶ pages
-	// cover indices up to 2³⁸ — far past any simulated footprint.
-	maxPageIndex = 1 << 26
+	// fails loudly instead of allocating an enormous spine. Indices up to
+	// 2³⁸ are allowed — far past any simulated footprint — whatever the
+	// page size; maxPageIndex is that bound in pages.
+	maxIndexBits = 38
+	maxPageIndex = 1 << (maxIndexBits - pageShift)
 )
 
 // pageOf is one allocated page plus its dirty mark. The mark lives with

@@ -9,7 +9,7 @@ import (
 // Reference backing: random interleavings of loads, stores, slot
 // mutations and resets must observe identical values throughout.
 func TestPagedDifferential(t *testing.T) {
-	for _, span := range []uint64{100, PageEntries, 3 * PageEntries} {
+	for _, span := range []uint64{100, PageEntries, 3*PageEntries + PageEntries/2} {
 		r := rand.New(rand.NewPCG(42, span))
 		var fast Paged[uint64]
 		var slow Paged[uint64]
@@ -116,6 +116,35 @@ func TestPagedResetOTouched(t *testing.T) {
 	}
 	if got := p.DirtyPages(); got != 0 {
 		t.Fatalf("DirtyPages() = %d after Load of absent page", got)
+	}
+}
+
+// TestPagedLineStridedFootprint pins the page size against the access
+// shape of the serving tier: a word-indexed table written at one word per
+// line, over lines scattered across a 2²⁰-line span. It must allocate
+// exactly the pages those words fall on, and those pages may hold at most
+// 64 entries for every entry the touched lines occupy (4096-entry pages
+// would hold ~330 here).
+func TestPagedLineStridedFootprint(t *testing.T) {
+	const spanLines, touched = 1 << 20, 2000
+	var p Paged[uint64]
+	need := make(map[uint64]bool)
+	r := rand.New(rand.NewPCG(12, 12))
+	for k := 0; k < touched; k++ {
+		w := r.Uint64N(spanLines) * WordsPerLine
+		p.Store(w, w+1)
+		need[w>>pageShift] = true
+	}
+	if got := p.Pages(); got != len(need) {
+		t.Fatalf("Pages() = %d, the touched words fall on %d pages", got, len(need))
+	}
+	if got := p.DirtyPages(); got != len(need) {
+		t.Fatalf("DirtyPages() = %d, want %d", got, len(need))
+	}
+	allocated, used := p.Pages()*PageEntries, touched*WordsPerLine
+	if allocated > 64*used {
+		t.Fatalf("%d pages hold %d entries for %d lines' %d entries: more than 64x the touched footprint",
+			p.Pages(), allocated, touched, used)
 	}
 }
 

@@ -1,0 +1,24 @@
+package oltp
+
+// MaxZetaMemo is the memo's entry bound.
+const MaxZetaMemo = maxZetaMemo
+
+// ZetaSums reports how many O(n) zeta sums the process has computed.
+func ZetaSums() uint64 { return zetaSums.Load() }
+
+// ZetaMemoLen reports how many sums the memo holds.
+func ZetaMemoLen() int {
+	zetaMemo.mu.Lock()
+	defer zetaMemo.mu.Unlock()
+	return len(zetaMemo.m)
+}
+
+// ResetZetaMemo empties the memo, so a test sees every key's first use.
+func ResetZetaMemo() {
+	zetaMemo.mu.Lock()
+	zetaMemo.m = nil
+	zetaMemo.mu.Unlock()
+}
+
+// Zetan returns the generator's zeta sum over its n ranks.
+func (z *Zipf) Zetan() float64 { return z.zetan }

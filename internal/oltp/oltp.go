@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -256,10 +257,23 @@ func TierNames() []string { return []string{"kv[@theta]", "ledger[@theta]"} }
 // ByName resolves an OLTP tier name — "kv", "ledger", or either with an
 // explicit skew suffix like "kv@0.99". The second result reports whether
 // the name belongs to this tier at all; when it does but the skew is
-// malformed or out of range, the error explains (registry-style: callers
-// print it and exit 2).
+// malformed, out of range or not exactly a two-decimal value, the error
+// explains (registry-style: callers print it and exit 2).
+//
+// The skew must survive the canonical name: callers address cells by
+// Name(), which prints theta to two decimals, so "kv@0.505" would
+// otherwise be renamed "kv@0.51" and then simulated at 0.51.
 func ByName(name string) (func() Workload, bool, error) {
 	base, thetaStr, hasTheta := strings.Cut(name, "@")
+	var mk func(theta float64) Workload
+	switch {
+	case strings.EqualFold(base, "kv"):
+		mk = func(theta float64) Workload { return NewKV(theta) }
+	case strings.EqualFold(base, "ledger"):
+		mk = func(theta float64) Workload { return NewLedger(theta) }
+	default:
+		return nil, false, nil
+	}
 	theta := DefaultTheta
 	if hasTheta {
 		v, err := strconv.ParseFloat(thetaStr, 64)
@@ -268,17 +282,14 @@ func ByName(name string) (func() Workload, bool, error) {
 		}
 		theta = v
 	}
-	var f func() Workload
-	switch {
-	case strings.EqualFold(base, "kv"):
-		f = func() Workload { return NewKV(theta) }
-	case strings.EqualFold(base, "ledger"):
-		f = func() Workload { return NewLedger(theta) }
-	default:
-		return nil, false, nil
-	}
 	if err := ValidateTheta(theta); err != nil {
 		return nil, true, err
 	}
-	return f, true, nil
+	canon := mk(theta).Name()
+	_, canonTheta, _ := strings.Cut(canon, "@")
+	if v, err := strconv.ParseFloat(canonTheta, 64); err != nil || math.Float64bits(v) != math.Float64bits(theta) {
+		return nil, true, fmt.Errorf("oltp: theta %q in workload %q is not a two-decimal skew; its canonical name %q would run theta %s",
+			thetaStr, name, canon, canonTheta)
+	}
+	return func() Workload { return mk(theta) }, true, nil
 }
