@@ -164,12 +164,13 @@ func (b *benchCollector) write(path string) error {
 }
 
 // measureHotPaths benchmarks the allocation-free hot paths the benchmark
-// trajectory pins — the scheduler Tick fast path, the MVM steady-state
-// Install, the memory-hierarchy way-predicted probes and each TM engine's
-// full-commit transaction path — with the same shapes as the package
-// benchmarks (BenchmarkTick in internal/sched, BenchmarkInstall in
-// internal/mvm, BenchmarkAccess/BenchmarkAccessVersioned in
-// internal/cache, BenchmarkCommit/hit in each engine package).
+// trajectory pins — the scheduler Tick fast path and handoff, the MVM
+// steady-state Install, the memory-hierarchy way-predicted probes and
+// each TM engine's full-commit transaction path — with the same shapes
+// as the package benchmarks (BenchmarkTick and BenchmarkHandoff/32 in
+// internal/sched, BenchmarkInstall in internal/mvm,
+// BenchmarkAccess/BenchmarkAccessVersioned in internal/cache,
+// BenchmarkCommit/hit in each engine package).
 func measureHotPaths() []benchHotPath {
 	tick := testing.Benchmark(func(b *testing.B) {
 		s := sched.New(2, 1)
@@ -182,6 +183,22 @@ func measureHotPaths() []benchHotPath {
 				}
 			} else {
 				th.Tick(uint64(b.N) + 2)
+			}
+		})
+	})
+	// The handoff path: 32 threads charging small pseudo-random amounts,
+	// so nearly every charge hands the conductor to another thread (the
+	// same shape as BenchmarkHandoff/32 in internal/sched).
+	handoff := testing.Benchmark(func(b *testing.B) {
+		s := sched.New(32, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		charges := 0
+		s.Run(func(th *sched.Thread) {
+			r := th.Rand()
+			for charges < b.N {
+				charges++
+				th.Tick(1 + r.Uint64()%8)
 			}
 		})
 	})
@@ -233,6 +250,7 @@ func measureHotPaths() []benchHotPath {
 	})
 	out := []benchHotPath{
 		{Name: "sched.Tick", NsPerOp: float64(tick.T.Nanoseconds()) / float64(tick.N), AllocsPerOp: tick.AllocsPerOp()},
+		{Name: "sched.Handoff/32", NsPerOp: float64(handoff.T.Nanoseconds()) / float64(handoff.N), AllocsPerOp: handoff.AllocsPerOp()},
 		{Name: "mvm.Install", NsPerOp: float64(install.T.Nanoseconds()) / float64(install.N), AllocsPerOp: install.AllocsPerOp()},
 		{Name: "cache.Access", NsPerOp: float64(access.T.Nanoseconds()) / float64(access.N), AllocsPerOp: access.AllocsPerOp()},
 		{Name: "cache.AccessVersioned", NsPerOp: float64(versioned.T.Nanoseconds()) / float64(versioned.N), AllocsPerOp: versioned.AllocsPerOp()},

@@ -41,6 +41,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/plot"
 	"repro/internal/report"
+	"repro/internal/sched"
 )
 
 // startProfiles begins the optional CPU profile and returns the function
@@ -137,6 +138,10 @@ func main() {
 	o.Workers = *workers
 	var err error
 	if o.Seeds, err = parseSeeds(*seeds); err != nil {
+		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkThreads(*threads); err != nil {
 		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 		os.Exit(2)
 	}
@@ -278,6 +283,14 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkThreads rejects a -threads value the simulator cannot run.
+func checkThreads(n int) error {
+	if n < 1 || n > sched.MaxThreads {
+		return fmt.Errorf("bad -threads %d: thread count must be in 1..%d", n, sched.MaxThreads)
+	}
+	return nil
 }
 
 // parseSeeds interprets the -seeds flag. A bare integer N expands to the

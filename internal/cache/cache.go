@@ -398,7 +398,7 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 // path — a single tag compare against the set's MRU way that charges
 // L1Latency and mutates nothing (no clock tick, no stamp write, no MRU
 // repoint, no lower-level traffic). Engines use it to certify an access
-// as non-interacting before batching it past the conductor's heap root
+// as non-interacting before batching it past the conductor's inline bound
 // (sched.Thread.TickHinted): a predicted hit is purely observational, so
 // it commutes with anything a parked thread could do below the horizon.
 //

@@ -500,7 +500,7 @@ func (x *txn) read(a mem.Addr) uint64 {
 	if x.e.batch && x.h.PredictedHit(line) {
 		// Certified non-interacting: the presence Notes above are blind
 		// ORs and a predicted L1 hit mutates no cache state, so this
-		// event may run inside a batched quantum past the heap root
+		// event may run inside a batched quantum past the inline bound
 		// (DESIGN.md "Horizon batching"). The snapshot read below is
 		// pinned too — any concurrent install sits behind the horizon.
 		x.t.TickHinted(x.h.AccessVersioned(line))

@@ -59,7 +59,7 @@ type CellConfig struct {
 	// RefSched runs the cell under the reference linear-scan conductor
 	// (sched.Sim.Slow) instead of the inline fast path.
 	RefSched bool `json:"ref_sched,omitempty"`
-	// PerEvent runs the heap conductor with horizon batching disabled
+	// PerEvent runs the tree conductor with horizon batching disabled
 	// (sched.Sim.SetPerEvent): every charge goes through the per-event
 	// protocol. It is the differential baseline the batched conductor is
 	// pinned against, and the reference point for the coroutine-switch

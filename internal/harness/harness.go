@@ -104,7 +104,7 @@ type Options struct {
 	// larger values approach the paper's configurations at the cost of
 	// wall-clock time).
 	Scale int
-	// PerEvent runs the fast heap conductor with horizon batching
+	// PerEvent runs the fast tree conductor with horizon batching
 	// disabled: every charge goes through the per-event protocol, as it
 	// did before multi-event quanta existed. Figures are byte-identical
 	// either way — the knob exists as the differential baseline for the

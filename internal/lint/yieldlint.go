@@ -171,7 +171,7 @@ func runYieldLint(pass *Pass) error {
 // count: under the reference conductors the model checker enumerates
 // with, both behave exactly like Tick, so an access behind them is a
 // decision point the enumeration does interleave (the batching they
-// enable under the heap conductor is separately proven observation-
+// enable under the tree conductor is separately proven observation-
 // equivalent by the differential oracles). Fence does NOT count — it
 // charges nothing and is a no-op under the reference conductors, so it
 // never yields where the model checker looks.

@@ -86,7 +86,7 @@ func TestLitmusBatchedVsPerEvent(t *testing.T) {
 				b := runLitmusOnce(t, prog, engine, (*sched.Sim).Run)
 				p := runLitmusOnce(t, prog, engine, perEvent)
 				s := runLitmusOnce(t, prog, engine, (*sched.Sim).Slow)
-				// Per-event heap conductor vs reference conductor: the
+				// Per-event tree conductor vs reference conductor: the
 				// whole recorded interleaving must match.
 				if pk, sk := p.hist.Key(), s.hist.Key(); pk != sk {
 					t.Errorf("per-event history diverges from reference conductor:\nper-event %s\nslow      %s", pk, sk)
@@ -118,7 +118,7 @@ func TestLitmusBatchedVsPerEvent(t *testing.T) {
 // every schedule the explorer thinks it enumerated is a schedule that
 // actually happened, recorded in exact simulated order. The default
 // chooser implements the production policy, so its full history must
-// match the per-event heap conductor's byte for byte.
+// match the per-event tree conductor's byte for byte.
 func TestRunChooseNeverBatches(t *testing.T) {
 	for _, prog := range Programs() {
 		for _, engine := range tm.Engines() {

@@ -121,11 +121,11 @@ func diffBatchTraces(t *testing.T, got, want batchTrace, gotName, wantName strin
 // TestBatchedRunMatchesSlow is the horizon-batching differential oracle:
 // random bodies that follow the slack protocol must be observably
 // indistinguishable — interaction order, fenced reads, per-thread step
-// streams, final clocks and makespan — between the batched heap conductor
+// streams, final clocks and makespan — between the batched tree conductor
 // and the reference linear-scan conductor (under which TickHinted and
 // LocalTick degrade to Tick and Fence to a no-op).
 func TestBatchedRunMatchesSlow(t *testing.T) {
-	for _, threads := range []int{1, 2, 3, 4, 8, 16} {
+	for _, threads := range treeShapes {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
 				fast := runBatchBody(threads, seed, (*Sim).Run)
@@ -138,7 +138,7 @@ func TestBatchedRunMatchesSlow(t *testing.T) {
 
 // TestBatchedRunMatchesPerEvent pins the differential the harness-level
 // byte-identity gates build on: the batched conductor against the same
-// heap conductor with batching disabled (SetPerEvent), which reproduces
+// tree conductor with batching disabled (SetPerEvent), which reproduces
 // the pre-batching per-event fast path exactly.
 func TestBatchedRunMatchesPerEvent(t *testing.T) {
 	perEvent := func(s *Sim, body func(*Thread)) {

@@ -18,7 +18,7 @@ type Chooser interface {
 
 // DefaultChooser is the production scheduling policy as a Chooser:
 // lowest cycle count first, ties broken by lowest thread ID. It is the
-// same total order Run's heap and Slow's linear scan implement, so
+// same total order Run's winner tree and Slow's linear scan implement, so
 // RunChoose(body, DefaultChooser{}) reproduces their schedule exactly
 // (pinned byte-identical by TestChooseMatchesRunAndSlow).
 type DefaultChooser struct{}

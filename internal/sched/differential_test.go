@@ -2,6 +2,8 @@ package sched
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -48,11 +50,16 @@ func diffTraces(t *testing.T, fast, slow trace) {
 	}
 }
 
-// TestRunMatchesSlowRandomTicks is the heap conductor's differential
+// treeShapes are the thread counts the conductor differentials cover:
+// powers of two, and counts on either side of one, where the winner
+// tree pads its leaves with vacant slots.
+var treeShapes = []int{1, 2, 3, 4, 5, 8, 16, 31, 32, 33, 64, 65}
+
+// TestRunMatchesSlowRandomTicks is the tree conductor's differential
 // oracle: across thread counts and seeds, random tick patterns must
 // produce the exact schedule of the reference linear-scan conductor.
 func TestRunMatchesSlowRandomTicks(t *testing.T) {
-	for _, threads := range []int{1, 2, 3, 4, 8, 16, 32} {
+	for _, threads := range treeShapes {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
 				body := func(th *Thread, step func()) {
@@ -109,6 +116,91 @@ func TestRunMatchesSlowStallWake(t *testing.T) {
 				diffTraces(t, fast, slow)
 			})
 		}
+	}
+}
+
+// TestRunMatchesSlowWakeLowersBound is a Stall/WakeAll-heavy
+// differential: most threads stall at every opportunity, and a waker
+// keeps charging zero cycles after its WakeAll, so the woken threads —
+// advanced to the waker's clock, and leading it whenever their ID is
+// lower — must take the CPU from it at once. The test also checks that
+// such wakes occur: the waker's inline bound must drop.
+func TestRunMatchesSlowWakeLowersBound(t *testing.T) {
+	for _, threads := range []int{2, 3, 5, 8, 33} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
+				lowered := 0
+				mk := func() func(*Thread, func()) {
+					alive, stalled := threads, 0
+					return func(th *Thread, step func()) {
+						for i := 0; i < 150; i++ {
+							step()
+							r := th.Rand().Uint64() % 8
+							switch {
+							case r < 3 && alive-stalled > 1:
+								stalled++
+								th.Stall()
+								stalled--
+							case r < 6:
+								before := th.sim.limit
+								th.WakeAll()
+								if th.sim.fast && th.sim.limit < before {
+									lowered++
+								}
+								th.Tick(0)
+								th.Tick(r & 1)
+							default:
+								th.Tick(r)
+							}
+						}
+						alive--
+						th.WakeAll()
+					}
+				}
+				fast := runTraced(threads, seed, (*Sim).Run, mk())
+				slow := runTraced(threads, seed, (*Sim).Slow, mk())
+				diffTraces(t, fast, slow)
+				if lowered == 0 {
+					t.Fatal("no WakeAll lowered the waker's inline bound")
+				}
+			})
+		}
+	}
+}
+
+// TestRunMatchesSlowFarCycles pins exact ordering far above any figure's
+// cycle counts: threads park at 1<<62 (where the engine benchmarks park
+// their bystanders), at 1<<63 and near math.MaxUint64, in ties broken by
+// ID, and keep charging small amounts from there. Beyond matching Slow,
+// the schedule must visit keys in nondecreasing (cycles, id) order, as
+// lowest-first scheduling does.
+func TestRunMatchesSlowFarCycles(t *testing.T) {
+	parks := []uint64{1 << 62, 1 << 62, 1<<62 + 1, 1 << 63, math.MaxUint64 - 64}
+	// A step is {cycles, id}; slices.Compare orders steps exactly as the
+	// conductor orders threads.
+	run := func(threads int, conduct func(*Sim, func(*Thread))) [][2]uint64 {
+		var steps [][2]uint64
+		conduct(New(threads, 1), func(th *Thread) {
+			th.Tick(parks[th.ID()%len(parks)])
+			for i := 0; i < 20; i++ {
+				steps = append(steps, [2]uint64{th.Cycles(), uint64(th.ID())})
+				th.Tick(th.Rand().Uint64() % 3)
+			}
+		})
+		return steps
+	}
+	for _, threads := range []int{2, 3, 5, 8} {
+		t.Run(fmt.Sprintf("t%d", threads), func(t *testing.T) {
+			fast, slow := run(threads, (*Sim).Run), run(threads, (*Sim).Slow)
+			if !slices.Equal(fast, slow) {
+				t.Fatalf("schedules diverge:\nfast %v\nslow %v", fast, slow)
+			}
+			for i := 1; i < len(fast); i++ {
+				if slices.Compare(fast[i][:], fast[i-1][:]) < 0 {
+					t.Fatalf("step %d runs %+v after %+v", i, fast[i], fast[i-1])
+				}
+			}
+		})
 	}
 }
 
@@ -210,7 +302,7 @@ func TestWakeAllReordersFastPath(t *testing.T) {
 
 // benchmarkTick measures the fast-path cycle charge: thread 0 ticks b.N
 // times while the other thread idles far in the simulated future, so every
-// charge but the first two is an inline heap-root comparison.
+// charge but the first two is an inline comparison against its bound.
 func benchmarkTick(b *testing.B) {
 	s := New(2, 1)
 	b.ReportAllocs()
@@ -227,11 +319,12 @@ func benchmarkTick(b *testing.B) {
 }
 
 // BenchmarkTick must report 0 allocs/op: the inline fast path performs no
-// channel handoff and no allocation.
+// coroutine switch and no allocation.
 func BenchmarkTick(b *testing.B) { benchmarkTick(b) }
 
 // BenchmarkTickSlow is the reference conductor's cost for the same
-// workload: two channel handoffs plus a linear scan per charge.
+// workload: a coroutine resume (two runtime switches) plus a linear scan
+// per charge.
 func BenchmarkTickSlow(b *testing.B) {
 	s := New(2, 1)
 	b.ReportAllocs()
@@ -247,6 +340,34 @@ func BenchmarkTickSlow(b *testing.B) {
 	})
 }
 
+// benchmarkHandoff measures the conductor's handoff path: b.N charges in
+// total, spread over threads that each charge a small pseudo-random
+// amount, so nearly every charge overtakes the next thread and costs a
+// coroutine resume plus a leaf-to-root replay. It reports resumes per
+// charge as switches/op.
+func benchmarkHandoff(b *testing.B, threads int) {
+	s := New(threads, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	charges := 0
+	s.Run(func(th *Thread) {
+		r := th.Rand()
+		for charges < b.N {
+			charges++
+			th.Tick(1 + r.Uint64()%8)
+		}
+	})
+	b.ReportMetric(float64(s.Stats().CoroutineSwitches)/float64(b.N), "switches/op")
+}
+
+// BenchmarkHandoff must report 0 allocs/op: a handoff replays the tree in
+// place and reuses each thread's coroutine.
+func BenchmarkHandoff(b *testing.B) {
+	for _, threads := range []int{2, 8, 32} {
+		b.Run(fmt.Sprint(threads), func(b *testing.B) { benchmarkHandoff(b, threads) })
+	}
+}
+
 // TestTickFastPathZeroAllocs asserts the acceptance bound directly: the
 // steady-state Tick fast path allocates nothing.
 func TestTickFastPathZeroAllocs(t *testing.T) {
@@ -256,5 +377,17 @@ func TestTickFastPathZeroAllocs(t *testing.T) {
 	r := testing.Benchmark(benchmarkTick)
 	if a := r.AllocsPerOp(); a != 0 {
 		t.Fatalf("Tick fast path allocates %d allocs/op, want 0", a)
+	}
+}
+
+// TestHandoffZeroAllocs asserts the handoff path allocates nothing in
+// steady state at the largest benchmarked machine.
+func TestHandoffZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a full benchmark")
+	}
+	r := testing.Benchmark(func(b *testing.B) { benchmarkHandoff(b, 32) })
+	if a := r.AllocsPerOp(); a != 0 {
+		t.Fatalf("handoff path allocates %d allocs/op, want 0", a)
 	}
 }

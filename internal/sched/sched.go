@@ -2,12 +2,13 @@
 //
 // It stands in for the ZSim cycle-accurate simulator used by the SI-TM paper
 // (Litz et al., ASPLOS 2014). The simulator models N logical hardware
-// threads, each with a monotonically increasing cycle counter. A conductor
-// goroutine always resumes the runnable thread with the lowest cycle count
-// (ties broken by thread ID), so operation streams from different threads
-// interleave in simulated time exactly as they would in an event-driven
-// architectural simulator. Given the same seed and workload, a simulation is
-// fully deterministic.
+// threads, each with a monotonically increasing cycle counter. The
+// conductor — the scheduling loop of Run, Slow or RunChoose — always
+// resumes the runnable thread with the lowest cycle count (ties broken by
+// thread ID), so operation streams from different threads interleave in
+// simulated time exactly as they would in an event-driven architectural
+// simulator. Given the same seed and workload, a simulation is fully
+// deterministic.
 //
 // Exactly one logical thread executes at any instant. Threads are
 // iter.Pull coroutines, not goroutines: a handoff between conductor and
@@ -16,19 +17,25 @@
 // coroutine switch establishes the happens-before edges, so shared engine
 // state needs no additional locking and the race detector stays quiet.
 //
-// Run keeps the non-running runnable threads in a min-heap keyed on
-// (cycles, id) and lets Tick return inline — no coroutine switch at all —
-// while the charging thread remains the lowest-cycle runnable thread (the
-// heap root bounds everyone else, and their counters are frozen while
-// parked). The interleaving is provably the one the per-Tick conductor
-// would have chosen; Slow retains that original conductor as a
+// Run keeps the threads in a winner tree keyed on (cycles, id) and lets
+// Tick return inline — no coroutine switch at all — while the charging
+// thread is still ordered before every other runnable thread (their
+// counters are frozen while parked, so the minimum over the other leaves
+// is a sound bound). The interleaving is provably the one the per-Tick
+// conductor would have chosen; Slow retains that original conductor as a
 // differential oracle.
 package sched
 
 import (
 	"fmt"
 	"iter"
+	"math"
 )
+
+// MaxThreads is the largest thread count New accepts; sitm-bench's
+// -threads flag and sweep plans are checked against it before any
+// simulation starts.
+const MaxThreads = 1024
 
 // Thread is one logical hardware thread of the simulated machine. All
 // simulated work — transactional memory operations, local computation,
@@ -66,40 +73,50 @@ func (t *Thread) Cycles() uint64 { return t.cycles }
 // Rand returns the thread's deterministic random number generator.
 func (t *Thread) Rand() *Rand { return t.rng }
 
-// Tick charges c simulated cycles to the thread and yields to the
-// conductor, which may switch to another thread whose cycle counter is now
-// lower. Every modelled operation must Tick at least once so that the
-// interleaving reflects simulated time.
-//
-// Under Run's heap conductor the yield is usually free: when the charging
-// thread is still ordered before the heap root — strictly lower cycles, or
-// equal cycles and lower ID — the conductor would resume it immediately,
-// so Tick returns inline without even a coroutine switch. Parked threads'
-// counters cannot change (only the running thread charges cycles; WakeAll
-// re-inserts woken threads with their advanced clocks), so the root is a
-// sound bound on every other runnable thread.
-func (t *Thread) Tick(c uint64) {
-	t.cycles += c
-	s := t.sim
-	if s.fast {
-		if len(s.runq) == 0 {
-			s.stats.InlineTicks++
-			return
-		}
-		if r := &s.runq[0]; t.cycles < r.cycles || (t.cycles == r.cycles && int32(t.id) < r.id) {
-			s.stats.InlineTicks++
-			return
-		}
-	}
+// leads reports whether the running thread is still ordered before every
+// other runnable thread — strictly lower cycles, or equal cycles and lower
+// ID — so the conductor would resume it immediately. It is the single
+// inline check of Run's charges; outside Run the limit is zero, so every
+// charge reaches the reference conductors.
+func (t *Thread) leads() bool { return t.cycles < t.sim.limit }
+
+// suspend hands control to the conductor until it resumes the thread.
+func (t *Thread) suspend() {
 	if !t.yield(struct{}{}) {
 		panic("sched: thread resumed after its conductor stopped")
 	}
 }
 
+// inline ends a per-event charge: it returns inline (counting it) while
+// the thread still leads and otherwise yields to the conductor.
+func (t *Thread) inline() {
+	if t.leads() {
+		t.sim.stats.InlineTicks++
+		return
+	}
+	t.suspend()
+}
+
+// Tick charges c simulated cycles to the thread and yields to the
+// conductor, which may switch to another thread whose cycle counter is now
+// lower. Every modelled operation must Tick at least once so that the
+// interleaving reflects simulated time.
+//
+// Under Run's tree conductor the yield is usually free: while the charging
+// thread still leads, the conductor would resume it immediately, so Tick
+// returns inline without even a coroutine switch. Parked threads' counters
+// cannot change (only the running thread charges cycles; WakeAll replays
+// woken threads with their advanced clocks and re-derives the bound), so
+// the bound taken at resume stays sound.
+func (t *Thread) Tick(c uint64) {
+	t.cycles += c
+	t.inline()
+}
+
 // LocalTick charges c simulated cycles for work that is purely
 // thread-local: the inter-yield segment it covers performs no effect on
 // simulated shared state at all (workload think time, backoff delays).
-// Under the heap conductor it is a pure counter charge — no root check,
+// Under the tree conductor it is a pure counter charge — no bound check,
 // no yield — because a charge with no attached effects commutes with
 // every other thread's events: delaying the handoff cannot change what
 // any thread observes. Under the reference conductors (Slow, RunChoose)
@@ -112,24 +129,11 @@ func (t *Thread) Tick(c uint64) {
 // Engine.Begin so transaction boundaries re-synchronise automatically.
 func (t *Thread) LocalTick(c uint64) {
 	t.cycles += c
-	s := t.sim
-	if s.fast && !s.perEvent {
+	if s := t.sim; s.batch {
 		s.stats.LocalTicks++
 		return
 	}
-	if s.fast {
-		if len(s.runq) == 0 {
-			s.stats.InlineTicks++
-			return
-		}
-		if r := &s.runq[0]; t.cycles < r.cycles || (t.cycles == r.cycles && int32(t.id) < r.id) {
-			s.stats.InlineTicks++
-			return
-		}
-	}
-	if !t.yield(struct{}{}) {
-		panic("sched: thread resumed after its conductor stopped")
-	}
+	t.inline()
 }
 
 // TickHinted charges c simulated cycles for an event the caller has
@@ -139,60 +143,42 @@ func (t *Thread) LocalTick(c uint64) {
 // mutation-free way-predicted cache hits, snapshot reads whose outcome is
 // pinned by the parked threads' published slacks, and pure local work.
 //
-// Under the heap conductor it first takes Tick's inline path (still
-// ordered before the heap root). Past the root it may *batch*: if the
-// post-charge key is still strictly below the horizon — the minimum over
-// parked runnable threads of (frozen cycle counter + published slack) —
-// the thread keeps running inline, because no parked thread can perform
-// a non-commuting effect below that bound (Thread.slack) and the batched
-// events themselves were certified commuting by the caller. Otherwise it
-// yields like Tick. Under the reference conductors and in per-event mode
-// it is exactly Tick.
+// Under the tree conductor it first takes Tick's inline path (the thread
+// still leads). Past that bound it may *batch*: if the post-charge key is
+// still strictly below the horizon — the minimum over parked runnable
+// threads of (frozen cycle counter + published slack) — the thread keeps
+// running inline, because no parked thread can perform a non-commuting
+// effect below that bound (Thread.slack) and the batched events
+// themselves were certified commuting by the caller. Otherwise it yields
+// like Tick. Under the reference conductors and in per-event mode it is
+// exactly Tick.
 func (t *Thread) TickHinted(c uint64) {
 	t.cycles += c
 	s := t.sim
-	if s.fast {
-		if len(s.runq) == 0 {
-			s.stats.InlineTicks++
-			return
-		}
-		if r := &s.runq[0]; t.cycles < r.cycles || (t.cycles == r.cycles && int32(t.id) < r.id) {
-			s.stats.InlineTicks++
-			return
-		}
-		if !s.perEvent && t.cycles < s.horizon() {
-			s.stats.BatchedEvents++
-			if t.cycles > s.maxBatchedKey {
-				s.maxBatchedKey = t.cycles
-			}
-			return
-		}
+	if t.leads() {
+		s.stats.InlineTicks++
+		return
 	}
-	if !t.yield(struct{}{}) {
-		panic("sched: thread resumed after its conductor stopped")
+	if s.batch && t.cycles < s.horizon() {
+		s.stats.BatchedEvents++
+		if t.cycles > s.maxBatchedKey {
+			s.maxBatchedKey = t.cycles
+		}
+		return
 	}
+	t.suspend()
 }
 
-// Fence ends any batched quantum: under the heap conductor it yields if
-// the thread has charged past the heap root (exactly Tick(0)); everywhere
-// else — the reference conductors, per-event mode, or a thread still
-// ordered before the root — it is a no-op. Call it before an effect that
-// does not commute with parked threads' events when the preceding charges
-// went through LocalTick/TickHinted; tm.Atomic fences once per attempt,
-// which covers every engine's Begin-side clock and stall logic.
+// Fence ends any batched quantum: under the tree conductor it yields if
+// the thread no longer leads (exactly Tick(0)); everywhere else — the
+// reference conductors, per-event mode, or a thread that still leads —
+// it is a no-op. Call it before an effect that does not commute with
+// parked threads' events when the preceding charges went through
+// LocalTick/TickHinted; tm.Atomic fences once per attempt, which covers
+// every engine's Begin-side clock and stall logic.
 func (t *Thread) Fence() {
-	s := t.sim
-	if !s.fast || s.perEvent {
-		return
-	}
-	if len(s.runq) == 0 {
-		return
-	}
-	if r := &s.runq[0]; t.cycles < r.cycles || (t.cycles == r.cycles && int32(t.id) < r.id) {
-		return
-	}
-	if !t.yield(struct{}{}) {
-		panic("sched: thread resumed after its conductor stopped")
+	if t.sim.batch && !t.leads() {
+		t.suspend()
 	}
 }
 
@@ -242,10 +228,22 @@ func (t *Thread) WakeAll() { t.sim.WakeAll(t) }
 // inline fast path applies only to Tick, where the thread stays runnable.
 func (t *Thread) Stall() {
 	t.stalled = true
-	if !t.yield(struct{}{}) {
-		panic("sched: thread resumed after its conductor stopped")
-	}
+	t.suspend()
 }
+
+// node is one winner-tree node: the lowest counter among the runnable
+// threads of its subtree, the thread holding it (the lowest ID on ties),
+// and the subtree's lowest cycles+slack.
+type node struct {
+	cycles uint64
+	reach  uint64
+	id     int32
+}
+
+// vacant is the counter of a leaf without a runnable thread (stalled,
+// finished or padding). Thread counters stay below it (see replay), so
+// it orders after every thread and vacant+1 cannot overflow.
+const vacant = math.MaxUint64 - 1
 
 // Sim is the machine: a set of logical threads and the conductor that
 // interleaves them deterministically in simulated time.
@@ -253,29 +251,37 @@ type Sim struct {
 	threads []*Thread
 	seed    uint64
 
-	// runq is the conductor's min-heap of runnable, not-currently-running
-	// threads, keyed on (cycles, id); fast is set while Run's heap
-	// conductor is driving, enabling Tick's inline path. Slow leaves fast
-	// unset so every Tick reaches its linear-scan conductor.
-	runq []runqEnt
-	fast bool
+	// tree is Run's winner tree over thread slots: node 1 is the root,
+	// node k's children are 2k and 2k+1, and thread i's leaf is node
+	// leaves+i, with the leaf count padded to a power of two. A left
+	// subtree holds only lower IDs than its right sibling, so ties go
+	// left and no node needs to compare IDs. The running thread keeps
+	// its stale leaf until it hands off.
+	tree   []node
+	leaves int
+
+	// cur is the running thread's ID under Run and limit its inline
+	// bound: the first cycle count at which it no longer leads (see
+	// leads). limit is zero outside Run, so Slow and RunChoose see every
+	// charge. horizonMin caches the running thread's horizon while
+	// horizonOK; bind and WakeAll clear it.
+	cur        int
+	limit      uint64
+	horizonMin uint64
+	horizonOK  bool
+
+	// fast is set while Run's tree conductor is driving; batch while it
+	// drives with the horizon-batching extensions (fast and not perEvent).
+	fast, batch bool
 
 	// perEvent disables the horizon batching extensions while keeping the
-	// heap conductor: LocalTick and TickHinted degrade to exactly Tick and
+	// tree conductor: LocalTick and TickHinted degrade to exactly Tick and
 	// Fence to a no-op, reproducing the pre-horizon per-event conductor.
 	// It is the differential baseline for the batched path.
 	perEvent bool
 
-	// horizonKey caches the current horizon — min over parked runnable
-	// threads of (frozen cycles + published slack) — and horizonGen/heapGen
-	// invalidate it: the run queue only changes at conductor handoffs, so
-	// one recomputation per handoff serves an entire batched quantum.
-	horizonKey uint64
-	horizonGen uint64
-	heapGen    uint64
-
 	// maxBatchedKey is the highest simulated key at which any thread has
-	// batched an event past the heap root; Interact audits against it.
+	// batched an event past its inline bound; Interact audits against it.
 	maxBatchedKey uint64
 
 	stats Stats
@@ -287,13 +293,14 @@ type Sim struct {
 // sitm-bench -json).
 type Stats struct {
 	// CoroutineSwitches is the number of coroutine resumes the conductor
-	// performed — each is a Go-runtime switch plus heap traffic.
+	// performed; each resume is two Go-runtime coroutine switches (into
+	// the thread and back).
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
 	// InlineTicks counts charges that returned inline while the thread
-	// was still ordered before the heap root (the PR 3 fast path).
+	// still led every other runnable thread (the PR 3 fast path).
 	InlineTicks uint64 `json:"inline_ticks"`
-	// BatchedEvents counts charges that returned inline past the heap
-	// root because they stayed below the horizon (multi-event quanta).
+	// BatchedEvents counts charges that returned inline past that bound
+	// because they stayed below the horizon (multi-event quanta).
 	BatchedEvents uint64 `json:"batched_events"`
 	// LocalTicks counts pure thread-local charges that skipped the
 	// conductor entirely.
@@ -311,61 +318,41 @@ func (s *Stats) Add(other Stats) {
 // Stats returns the conductor counters of the last Run/Slow invocation.
 func (s *Sim) Stats() Stats { return s.stats }
 
-// SetPerEvent toggles per-event mode: with on, the heap conductor runs
+// SetPerEvent toggles per-event mode: with on, the tree conductor runs
 // every charge through the pre-horizon per-event protocol (LocalTick and
 // TickHinted behave exactly like Tick), providing the differential
 // baseline the batched conductor is pinned against.
 func (s *Sim) SetPerEvent(on bool) { s.perEvent = on }
 
-// horizon returns the cached horizon for the current handoff, recomputing
-// it if the run queue changed. A parked thread's counter is frozen and
-// its slack can only be rewritten by itself (so not while parked), which
-// makes the cached value exact for the duration of a quantum.
+// horizon returns the running thread's horizon — the minimum reach over
+// every other leaf, i.e. over the sibling nodes on its leaf-to-root path
+// — computing it at most once per quantum. A parked thread's counter is
+// frozen and its slack can only be rewritten by itself (so not while
+// parked), which makes the cached value exact until the next handoff or
+// WakeAll.
 func (s *Sim) horizon() uint64 {
-	if s.horizonGen == s.heapGen {
-		return s.horizonKey
-	}
-	var h uint64
-	for i := range s.runq {
-		ent := &s.runq[i]
-		if k := ent.cycles + ent.t.slack; i == 0 || k < h {
-			h = k
+	if !s.horizonOK {
+		h := uint64(math.MaxUint64)
+		for i := s.leaves + s.cur; i > 1; i >>= 1 {
+			h = min(h, s.tree[i^1].reach)
 		}
+		s.horizonMin, s.horizonOK = h, true
 	}
-	s.horizonKey = h
-	s.horizonGen = s.heapGen
-	return h
+	return s.horizonMin
 }
 
-// runqEnt is one heap slot: the thread plus an inline copy of its sort
-// key. A parked thread's counter is frozen (only the running thread
-// charges cycles, and WakeAll advances clocks before re-inserting), so
-// the snapshot taken at insertion stays exact; keeping it inline makes
-// every heap comparison a pair of loads from the heap array instead of a
-// pointer chase into the Thread.
-type runqEnt struct {
-	cycles uint64
-	id     int32
-	t      *Thread
-}
-
-// entOf snapshots t's sort key into a heap entry.
-func entOf(t *Thread) runqEnt { return runqEnt{cycles: t.cycles, id: int32(t.id), t: t} }
-
-// entBefore reports whether heap entry a orders before b
-// (lowest-cycle-first, ties by ID).
-func entBefore(a, b runqEnt) bool {
-	return a.cycles < b.cycles || (a.cycles == b.cycles && a.id < b.id)
-}
-
-// New creates a machine with n logical threads. The seed makes every
-// per-thread RNG, and therefore the whole simulation, deterministic.
+// New creates a machine with n logical threads, 1 <= n <= MaxThreads.
+// The seed makes every per-thread RNG, and therefore the whole
+// simulation, deterministic.
 func New(n int, seed uint64) *Sim {
-	if n <= 0 {
-		panic(fmt.Sprintf("sched: invalid thread count %d", n))
+	if n <= 0 || n > MaxThreads {
+		panic(fmt.Sprintf("sched: invalid thread count %d (want 1..%d)", n, MaxThreads))
 	}
-	s := &Sim{}
-	s.seed = seed
+	s := &Sim{seed: seed, leaves: 1}
+	for s.leaves < n {
+		s.leaves *= 2
+	}
+	s.tree = make([]node, 2*s.leaves)
 	for i := 0; i < n; i++ {
 		s.threads = append(s.threads, &Thread{
 			id:  i,
@@ -404,11 +391,13 @@ func (s *Sim) TotalCycles() uint64 {
 }
 
 // WakeAll unparks every stalled thread, advancing their clocks to the
-// caller's clock so that waiting time is charged. Under the heap conductor
-// the woken threads re-enter the run queue with their advanced (and from
-// then on frozen) counters, so the heap root stays a sound bound for the
-// waker's subsequent inline Ticks.
+// caller's clock so that waiting time is charged. Under the tree
+// conductor the woken threads' leaves are replayed with their advanced
+// (and from then on frozen) counters, and the waker's inline bound is
+// re-derived: a woken thread at the waker's clock with a lower ID now
+// leads it.
 func (s *Sim) WakeAll(waker *Thread) {
+	woke := false
 	for _, t := range s.threads {
 		if t.stalled {
 			t.stalled = false
@@ -416,97 +405,52 @@ func (s *Sim) WakeAll(waker *Thread) {
 				t.cycles = waker.cycles
 			}
 			if s.fast {
-				s.push(t)
+				s.replay(t)
+				woke = true
 			}
 		}
 	}
-}
-
-// The run queue is a 4-ary heap: at the machine sizes simulated here
-// (up to 64 threads) it halves the sift depth of a binary heap and keeps
-// each node's children in one or two cache lines. Heap arity is not
-// observable — every pop still returns the unique (cycles, id) minimum,
-// so the interleaving is identical to any other heap's.
-const heapArity = 4
-
-// push inserts t into the run-queue heap.
-func (s *Sim) push(t *Thread) {
-	s.heapGen++
-	s.runq = append(s.runq, entOf(t))
-	i := len(s.runq) - 1
-	for i > 0 {
-		p := (i - 1) / heapArity
-		if !entBefore(s.runq[i], s.runq[p]) {
-			break
-		}
-		s.runq[i], s.runq[p] = s.runq[p], s.runq[i]
-		i = p
+	if woke {
+		s.bind(waker)
 	}
 }
 
-// pop removes and returns the heap's minimum (cycles, id) thread.
-func (s *Sim) pop() *Thread {
-	s.heapGen++
-	min := s.runq[0].t
-	last := len(s.runq) - 1
-	s.runq[0] = s.runq[last]
-	s.runq[last] = runqEnt{}
-	s.runq = s.runq[:last]
-	s.siftDown()
-	return min
+// replay rewrites t's leaf — its counter and reach if runnable, vacant
+// if stalled or done — and every node on the path to the root. A counter
+// that reaches vacant could no longer be ordered against vacant leaves,
+// so it panics instead of misordering.
+func (s *Sim) replay(t *Thread) {
+	n := node{cycles: vacant, reach: math.MaxUint64, id: int32(t.id)}
+	if !t.done && !t.stalled {
+		if t.cycles >= vacant {
+			panic(fmt.Sprintf("sched: thread %d cycle counter %d is past the schedulable range", t.id, t.cycles))
+		}
+		n.cycles, n.reach = t.cycles, t.cycles+t.slack
+	}
+	i := s.leaves + t.id
+	s.tree[i] = n
+	for ; i > 1; i >>= 1 {
+		// A left sibling (i odd) holds lower IDs and wins ties.
+		o := s.tree[i^1]
+		if o.cycles < n.cycles+uint64(i&1) {
+			n.cycles, n.id = o.cycles, o.id
+		}
+		n.reach = min(n.reach, o.reach)
+		s.tree[i>>1] = n
+	}
 }
 
-// replaceTop swaps t for the heap's minimum in one sift: the returned
-// thread is the old root (the next to run), and t takes its place in the
-// heap. This is the conductor's per-handoff operation — a yielding thread
-// is by construction no longer ordered before the root, so pop-then-push
-// would sift twice for the same result.
-func (s *Sim) replaceTop(t *Thread) *Thread {
-	s.heapGen++
-	min := s.runq[0].t
-	s.runq[0] = entOf(t)
-	s.siftDown()
-	return min
-}
-
-// siftDown restores the heap property after the root was replaced. The
-// displaced root is held out of the array and moves down a hole instead
-// of being swapped level by level: one store per level rather than a
-// 24-byte exchange. The final layout matches the classic swap formulation
-// (the child scan is the same strict left-to-right minimum), and pop
-// order would be unchanged by layout anyway — every pop extracts the
-// unique (cycles, id) minimum.
-func (s *Sim) siftDown() {
-	n := len(s.runq)
-	if n == 0 {
-		return
+// bind makes t the running thread. t leads a thread in a sibling subtree
+// left of its leaf-to-root path (lower IDs) only on strictly fewer
+// cycles, and one to the right also on equal cycles, so its limit is the
+// minimum over those siblings of cycles, plus one on the right. Its
+// horizon is recomputed on first use.
+func (s *Sim) bind(t *Thread) {
+	lim := uint64(math.MaxUint64)
+	for i := s.leaves + t.id; i > 1; i >>= 1 {
+		lim = min(lim, s.tree[i^1].cycles+uint64(^i&1))
 	}
-	ent := s.runq[0]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		next := first
-		best := s.runq[first]
-		for c := first + 1; c < last; c++ {
-			if entBefore(s.runq[c], best) {
-				next = c
-				best = s.runq[c]
-			}
-		}
-		if !entBefore(best, ent) {
-			break
-		}
-		s.runq[i] = best
-		i = next
-	}
-	s.runq[i] = ent
+	s.cur, s.limit, s.horizonOK = t.id, lim, false
 }
 
 // start builds a fresh coroutine per logical thread, suspended before its
@@ -531,21 +475,27 @@ func (s *Sim) start(body func(*Thread)) int {
 // lowest-cycle-first until all bodies return. It panics on total deadlock
 // (every live thread stalled), which indicates an engine bug.
 //
-// The conductor holds every runnable, non-running thread in the run-queue
-// heap: it pops the minimum, resumes it, and re-inserts it when it yields.
-// The running thread only reaches the conductor when it is no longer the
-// global minimum (see Tick), when it stalls, or when its body returns — on
-// the common path a cycle charge is a single heap-root comparison.
+// The conductor resumes the tree's root. The running thread only reaches
+// the conductor when it no longer leads (see Tick), when it stalls, or
+// when its body returns; the conductor then replays the thread's leaf —
+// one leaf-to-root pass — and resumes the new root. On the common path a
+// cycle charge is a single comparison against the bound.
 func (s *Sim) Run(body func(*Thread)) {
-	s.fast = true
-	defer func() { s.fast = false }()
+	s.fast, s.batch = true, !s.perEvent
+	defer func() { s.fast, s.batch, s.limit = false, false, 0 }()
 	live := s.start(body)
-	s.runq = s.runq[:0]
-	for _, t := range s.threads {
-		s.push(t)
+	for i := range s.tree {
+		s.tree[i] = node{cycles: vacant, reach: math.MaxUint64}
 	}
-	next := s.pop()
+	for _, t := range s.threads {
+		s.replay(t)
+	}
 	for {
+		if s.tree[1].cycles == vacant {
+			panic("sched: deadlock — all live threads stalled")
+		}
+		next := s.threads[s.tree[1].id]
+		s.bind(next)
 		s.stats.CoroutineSwitches++
 		if _, ok := next.resume(); !ok {
 			// The coroutine ran body to completion.
@@ -554,23 +504,10 @@ func (s *Sim) Run(body func(*Thread)) {
 			if live == 0 {
 				return
 			}
-			if len(s.runq) == 0 {
-				panic("sched: deadlock — all live threads stalled")
-			}
-			next = s.pop()
-		} else if next.stalled {
-			// Stalled threads stay out of the heap until WakeAll
-			// re-inserts them.
-			if len(s.runq) == 0 {
-				panic("sched: deadlock — all live threads stalled")
-			}
-			next = s.pop()
-		} else {
-			// A non-stall yield means the heap root is ordered before
-			// the yielder (Tick's inline check failed), so the root
-			// runs next and the yielder takes its heap slot.
-			next = s.replaceTop(next)
 		}
+		// A yield, stall or exit: the leaf takes the thread's new key,
+		// or vacant, and the root is the next thread to run.
+		s.replay(next)
 	}
 }
 

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -187,4 +190,42 @@ func TestRandDistinctStreams(t *testing.T) {
 	if same > 2 {
 		t.Fatalf("streams overlap too much: %d identical draws", same)
 	}
+}
+
+// TestCounterPastRangePanics checks the counters the conductor cannot
+// order: from math.MaxUint64-1 up a counter collides with the vacant-leaf
+// sentinel, so a thread that charges that far must panic at its next
+// handoff rather than be misordered against vacant slots.
+func TestCounterPastRangePanics(t *testing.T) {
+	for _, threads := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("t%d", threads), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("no panic on a counter of math.MaxUint64")
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, "schedulable range") {
+					t.Fatalf("panic %q does not name the range", msg)
+				}
+			}()
+			New(threads, 1).Run(func(th *Thread) {
+				th.Tick(1)
+				if th.ID() == 0 {
+					th.Tick(math.MaxUint64 - 1)
+				}
+			})
+		})
+	}
+}
+
+func TestNewBoundsThreadCount(t *testing.T) {
+	if n := New(MaxThreads, 1).NumThreads(); n != MaxThreads {
+		t.Fatalf("New(MaxThreads) has %d threads", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic past MaxThreads")
+		}
+	}()
+	New(MaxThreads+1, 1)
 }

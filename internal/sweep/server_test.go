@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/sched"
 )
 
 // tinySpec is the smallest real plan: one cell (List under 2PL at two
@@ -271,6 +272,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/api/plans", Spec{Workloads: []string{"nosuch"}}, nil); code != http.StatusBadRequest {
 		t.Fatalf("unknown workload returned %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/api/plans", Spec{Threads: sched.MaxThreads + 1}, nil); code != http.StatusBadRequest {
+		t.Fatalf("thread count past sched.MaxThreads returned %d", code)
 	}
 	for _, path := range []string{"/api/plans/nope", "/api/plans/nope/events", "/api/plans/nope/figures/figure1"} {
 		resp, err := http.Get(ts.URL + path)

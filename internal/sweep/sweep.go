@@ -28,6 +28,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/harness"
+	"repro/internal/sched"
 )
 
 // Spec is a submitted sweep plan: which figures to build, over which
@@ -82,6 +83,9 @@ func (s Spec) validate() error {
 	}
 	if s.Threads < 0 || s.Scale < 0 {
 		return fmt.Errorf("sweep: negative threads or scale")
+	}
+	if s.Threads > sched.MaxThreads {
+		return fmt.Errorf("sweep: threads %d exceeds the simulator's limit of %d", s.Threads, sched.MaxThreads)
 	}
 	return nil
 }

@@ -132,7 +132,7 @@ func TestBatchedSchedulerDifferential(t *testing.T) {
 					if perEvent.stats.BatchedEvents != 0 {
 						t.Errorf("per-event conductor batched %d events", perEvent.stats.BatchedEvents)
 					}
-					// A single thread is always the heap root: its charges
+					// A single thread always leads: its charges
 					// stay on the inline-tick path and no quantum ever needs
 					// batching, so the engagement assertions start at 2.
 					if name == "SI-TM" && threads > 1 && batched.stats.BatchedEvents == 0 {
