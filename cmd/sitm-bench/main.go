@@ -141,9 +141,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 		os.Exit(2)
 	}
-	if err := checkThreads(*threads); err != nil {
-		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
-		os.Exit(2)
+	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkWorkers(*workers)} {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	if *workload != "" {
 		for _, name := range strings.Split(*workload, ",") {
@@ -289,6 +291,24 @@ func main() {
 func checkThreads(n int) error {
 	if n < 1 || n > sched.MaxThreads {
 		return fmt.Errorf("bad -threads %d: thread count must be in 1..%d", n, sched.MaxThreads)
+	}
+	return nil
+}
+
+// checkScale rejects a -scale value below 1, which the workloads would
+// silently run at scale 1.
+func checkScale(n int) error {
+	if n < 1 {
+		return fmt.Errorf("bad -scale %d: workload size multiplier must be at least 1", n)
+	}
+	return nil
+}
+
+// checkWorkers rejects a negative -workers value, which the runner would
+// silently take as one worker per CPU.
+func checkWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("bad -workers %d: worker count must be 0 (one per CPU) or more", n)
 	}
 	return nil
 }

@@ -343,8 +343,8 @@ func BenchmarkTickSlow(b *testing.B) {
 // benchmarkHandoff measures the conductor's handoff path: b.N charges in
 // total, spread over threads that each charge a small pseudo-random
 // amount, so nearly every charge overtakes the next thread and costs a
-// coroutine resume plus a leaf-to-root replay. It reports resumes per
-// charge as switches/op.
+// leaf-to-root replay plus one coroutine switch straight into the next
+// thread. It reports resumes per charge as switches/op.
 func benchmarkHandoff(b *testing.B, threads int) {
 	s := New(threads, 1)
 	b.ReportAllocs()

@@ -3,19 +3,22 @@
 // It stands in for the ZSim cycle-accurate simulator used by the SI-TM paper
 // (Litz et al., ASPLOS 2014). The simulator models N logical hardware
 // threads, each with a monotonically increasing cycle counter. The
-// conductor — the scheduling loop of Run, Slow or RunChoose — always
-// resumes the runnable thread with the lowest cycle count (ties broken by
-// thread ID), so operation streams from different threads interleave in
-// simulated time exactly as they would in an event-driven architectural
-// simulator. Given the same seed and workload, a simulation is fully
-// deterministic.
+// conductor — the resume loop of Slow or RunChoose, or under Run the
+// handing-off thread itself — always resumes the runnable thread with the
+// lowest cycle count (ties broken by thread ID), so operation streams
+// from different threads interleave in simulated time exactly as they
+// would in an event-driven architectural simulator. Given the same seed
+// and workload, a simulation is fully deterministic.
 //
 // Exactly one logical thread executes at any instant. Threads are
-// iter.Pull coroutines, not goroutines: a handoff between conductor and
-// thread is a direct coroutine switch on the same OS thread — no runtime
-// scheduler locks, no park/unpark, no cross-P wakeup — and the runtime's
-// coroutine switch establishes the happens-before edges, so shared engine
-// state needs no additional locking and the race detector stays quiet.
+// iter.Pull coroutines, not free-running goroutines: a handoff is a
+// direct coroutine switch on the same OS thread — no runtime scheduler
+// locks, no park/unpark, no cross-P wakeup — and the runtime's coroutine
+// switch establishes the happens-before edges, so shared engine state
+// needs no additional locking and the race detector stays quiet. Under
+// Run every thread is its own conductor and switches straight into the
+// next thread; under Slow and RunChoose the thread switches back to the
+// conductor's loop, which switches into the next.
 //
 // Run keeps the threads in a winner tree keyed on (cycles, id) and lets
 // Tick return inline — no coroutine switch at all — while the charging
@@ -30,6 +33,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"runtime"
 )
 
 // MaxThreads is the largest thread count New accepts; sitm-bench's
@@ -55,11 +59,15 @@ type Thread struct {
 	// counters; see TickHinted. Zero — the default — promises nothing.
 	slack uint64
 
-	// yield suspends the thread's coroutine and returns control to the
-	// conductor's resume call; resume restarts it. Both are rebuilt by
-	// start for every Run/Slow invocation.
+	// yield and resume are the two ends of the thread's iter.Pull
+	// coroutine, rebuilt by start for every Run/Slow invocation. Under
+	// Slow and RunChoose the thread yields to the conductor's resume
+	// call. Under Run the coroutine is one of the slots of Sim.in:
+	// resumed marks that the goroutine parked in it entered through
+	// resume, so it is woken through yield, and otherwise through resume.
 	yield   func(struct{}) bool
 	resume  func() (struct{}, bool)
+	resumed bool
 	done    bool
 	stalled bool
 }
@@ -80,15 +88,29 @@ func (t *Thread) Rand() *Rand { return t.rng }
 // charge reaches the reference conductors.
 func (t *Thread) leads() bool { return t.cycles < t.sim.limit }
 
-// suspend hands control to the conductor until it resumes the thread.
+// suspend hands control on until the thread is resumed. Under Run it
+// replays the thread's leaf, binds the new root and switches straight
+// into it; under the reference conductors it yields to their loop.
 func (t *Thread) suspend() {
-	if !t.yield(struct{}{}) {
-		panic("sched: thread resumed after its conductor stopped")
+	s := t.sim
+	if !s.fast {
+		if !t.yield(struct{}{}) {
+			panic("sched: thread resumed after its conductor stopped")
+		}
+		return
+	}
+	s.replay(t)
+	if next := s.next(t.id); next != t.id {
+		s.handoff(t.id, next)
 	}
 }
 
 // inline ends a per-event charge: it returns inline (counting it) while
-// the thread still leads and otherwise yields to the conductor.
+// the thread still leads and otherwise hands off (see suspend). It is
+// kept out of line so that Tick and LocalTick stay within the
+// compiler's inlining budget: a charge then costs its caller one call.
+//
+//go:noinline
 func (t *Thread) inline() {
 	if t.leads() {
 		t.sim.stats.InlineTicks++
@@ -285,6 +307,18 @@ type Sim struct {
 	maxBatchedKey uint64
 
 	stats Stats
+
+	// live counts Run's threads whose body has not returned. in is
+	// Run's slot table: in[g] is the thread whose coroutine goroutine g
+	// is parked in, where g is a thread ID or caller() for Run's caller.
+	// forwards counts the handoffs a woken goroutine passed on after a
+	// body exit (see handoff); failed and failure hold a body's panic
+	// value, or nil for runtime.Goexit, for Run's caller to re-raise.
+	live     int
+	in       []int32
+	forwards int
+	failed   bool
+	failure  any
 }
 
 // Stats counts conductor work for one Run/Slow invocation; reset at the
@@ -292,9 +326,10 @@ type Sim struct {
 // batching attacks (surfaced as the sched_stats section of
 // sitm-bench -json).
 type Stats struct {
-	// CoroutineSwitches is the number of coroutine resumes the conductor
-	// performed; each resume is two Go-runtime coroutine switches (into
-	// the thread and back).
+	// CoroutineSwitches is the number of thread resumes the conductor
+	// performed. Under Run a resume is one Go-runtime coroutine switch,
+	// straight from the suspending thread into the next; under Slow it is
+	// two, into the thread and back to the conductor.
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
 	// InlineTicks counts charges that returned inline while the thread
 	// still led every other runnable thread (the PR 3 fast path).
@@ -348,7 +383,7 @@ func New(n int, seed uint64) *Sim {
 	if n <= 0 || n > MaxThreads {
 		panic(fmt.Sprintf("sched: invalid thread count %d (want 1..%d)", n, MaxThreads))
 	}
-	s := &Sim{seed: seed, leaves: 1}
+	s := &Sim{seed: seed, leaves: 1, in: make([]int32, n+1)}
 	for s.leaves < n {
 		s.leaves *= 2
 	}
@@ -455,8 +490,7 @@ func (s *Sim) bind(t *Thread) {
 
 // start builds a fresh coroutine per logical thread, suspended before its
 // first body instruction, and returns the live count. The coroutine runs
-// body when first resumed; yielding inside Tick/Stall switches straight
-// back to the conductor's resume call.
+// body when first resumed.
 func (s *Sim) start(body func(*Thread)) int {
 	s.stats = Stats{}
 	s.maxBatchedKey = 0
@@ -473,42 +507,137 @@ func (s *Sim) start(body func(*Thread)) int {
 
 // Run executes body(thread) on every logical thread and interleaves them
 // lowest-cycle-first until all bodies return. It panics on total deadlock
-// (every live thread stalled), which indicates an engine bug.
+// (every live thread stalled), which indicates an engine bug, and
+// re-raises a body's panic or runtime.Goexit in the caller.
 //
-// The conductor resumes the tree's root. The running thread only reaches
-// the conductor when it no longer leads (see Tick), when it stalls, or
-// when its body returns; the conductor then replays the thread's leaf —
-// one leaf-to-root pass — and resumes the new root. On the common path a
-// cycle charge is a single comparison against the bound.
+// Run has no resume loop: every thread is its own conductor. The running
+// thread only hands off when it no longer leads (see Tick), when it
+// stalls, or when its body returns; it then replays its own leaf — one
+// leaf-to-root pass — binds the new root and switches directly into that
+// root's coroutine (see handoff). On the common path a cycle charge is a
+// single comparison against the bound. The caller is parked like a thread
+// and is woken once the last body returns.
 func (s *Sim) Run(body func(*Thread)) {
 	s.fast, s.batch = true, !s.perEvent
 	defer func() { s.fast, s.batch, s.limit = false, false, 0 }()
-	live := s.start(body)
+	s.live = s.start(func(t *Thread) { s.conduct(t, body) })
 	for i := range s.tree {
 		s.tree[i] = node{cycles: vacant, reach: math.MaxUint64}
 	}
 	for _, t := range s.threads {
 		s.replay(t)
+		s.in[t.id], t.resumed = int32(t.id), false
 	}
+	s.forwards, s.failed, s.failure = 0, false, nil
+	s.handoff(s.caller(), s.next(s.caller()))
+	if s.failed {
+		if s.failure == nil {
+			runtime.Goexit()
+		}
+		panic(s.failure)
+	}
+}
+
+// caller is the goroutine index of Run's caller in the slot table.
+func (s *Sim) caller() int { return len(s.threads) }
+
+// next binds the tree's root as the running thread, counting the resume,
+// and returns its ID. A vacant root means every live thread is stalled:
+// goroutine me, which found it, hands the deadlock to Run's caller.
+func (s *Sim) next(me int) int {
+	if s.tree[1].cycles == vacant {
+		s.fail(me, "sched: deadlock — all live threads stalled")
+	}
+	t := s.threads[s.tree[1].id]
+	s.bind(t)
+	s.stats.CoroutineSwitches++
+	return t.id
+}
+
+// handoff parks goroutine me — a thread, or Run's caller — and runs
+// goroutine to, returning once me is the bound goroutine s.cur again.
+//
+// A body's return wakes whichever goroutine is parked in that body's own
+// coroutine, not the root its thread bound (see conduct). That goroutine
+// forwards control to the bound one, an extra switch Stats does not
+// count. Forwarding is legal only right after a body exit; any other
+// wake of a goroutine that is not bound is a conductor bug, which Run's
+// caller raises as a panic (see fail).
+func (s *Sim) handoff(me, to int) {
 	for {
-		if s.tree[1].cycles == vacant {
-			panic("sched: deadlock — all live threads stalled")
+		exited := s.wake(me, to)
+		if s.cur == me {
+			return
 		}
-		next := s.threads[s.tree[1].id]
-		s.bind(next)
-		s.stats.CoroutineSwitches++
-		if _, ok := next.resume(); !ok {
-			// The coroutine ran body to completion.
-			next.done = true
-			live--
-			if live == 0 {
-				return
-			}
+		if !exited {
+			s.fail(me, fmt.Sprintf("sched: goroutine %d woken while %d is bound", me, s.cur))
 		}
-		// A yield, stall or exit: the leaf takes the thread's new key,
-		// or vacant, and the root is the next thread to run.
-		s.replay(next)
+		s.forwards++
+		to = s.cur
 	}
+}
+
+// wake parks goroutine me in the coroutine goroutine g is parked in,
+// which runs g: the runtime's coroutine switch is symmetric. It returns
+// once me is woken, reporting whether the wake was that coroutine's body
+// returning. Entering through yield when the occupant entered through
+// resume, and through resume otherwise, keeps each coroutine's resume
+// and yield alternating as iter.Pull requires.
+func (s *Sim) wake(me, g int) (exited bool) {
+	k := s.in[g]
+	s.in[me] = k
+	t := s.threads[k]
+	if t.resumed {
+		t.resumed = false
+		return !t.yield(struct{}{})
+	}
+	t.resumed = true
+	_, ok := t.resume()
+	return !ok
+}
+
+// conduct runs body on thread t under Run. When the body returns, t
+// replays its vacant leaf and binds the next root, or Run's caller once
+// every body has returned; the runtime then wakes the goroutine parked
+// in t's coroutine, which forwards control if it is not the bound one
+// (see handoff). A panic or runtime.Goexit in body is handed to Run's
+// caller (see fail).
+func (s *Sim) conduct(t *Thread, body func(*Thread)) {
+	returned := false
+	defer func() {
+		if !returned {
+			s.fail(t.id, recover())
+		}
+	}()
+	if s.cur != t.id {
+		s.fail(t.id, fmt.Sprintf("sched: thread %d started while %d is bound", t.id, s.cur))
+	}
+	body(t)
+	t.done = true
+	s.live--
+	s.replay(t)
+	if s.live == 0 {
+		s.cur = s.caller()
+	} else {
+		s.next(t.id)
+	}
+	returned = true
+}
+
+// fail hands a failure found by goroutine me to Run's caller, which
+// re-raises it: a body's panic value, nil for a body's runtime.Goexit,
+// or a conductor panic such as a deadlock. A thread records it and
+// switches straight to the caller, then stays parked for good, like the
+// other threads of the failed Run, so a body's recover never sees a
+// conductor panic.
+func (s *Sim) fail(me int, p any) {
+	s.failed, s.failure = true, p
+	if me == s.caller() {
+		panic(p)
+	}
+	s.cur = s.caller()
+	s.wake(me, s.cur)
+	panic("sched: failed thread resumed")
 }
 
 // Slow executes body exactly like Run but with the reference conductor: a
