@@ -296,10 +296,11 @@ func checkThreads(n int) error {
 }
 
 // checkScale rejects a -scale value below 1, which the workloads would
-// silently run at scale 1.
+// silently run at scale 1, and one above harness.MaxScale, whose sizes
+// would not allocate.
 func checkScale(n int) error {
-	if n < 1 {
-		return fmt.Errorf("bad -scale %d: workload size multiplier must be at least 1", n)
+	if n < 1 || n > harness.MaxScale {
+		return fmt.Errorf("bad -scale %d: workload size multiplier must be in 1..%d", n, harness.MaxScale)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/sched"
 )
 
@@ -22,11 +23,14 @@ func TestBadThreadsExitsTwo(t *testing.T) {
 	}
 }
 
-// TestBadScaleAndWorkersExitTwo checks the same for a -scale below 1 and
-// a negative -workers, which used to run at scale 1 and one worker per
-// CPU respectively.
+// TestBadScaleAndWorkersExitTwo checks the same for a -scale below 1, a
+// -scale past harness.MaxScale and a negative -workers, which used to run
+// at scale 1, panic in a worker and run one worker per CPU respectively.
 func TestBadScaleAndWorkersExitTwo(t *testing.T) {
-	for _, c := range [][2]string{{"-scale", "0"}, {"-scale", "-3"}, {"-workers", "-1"}} {
+	for _, c := range [][2]string{
+		{"-scale", "0"}, {"-scale", "-3"}, {"-scale", strconv.Itoa(harness.MaxScale + 1)},
+		{"-scale", "100000000000"}, {"-workers", "-1"},
+	} {
 		checkExitsTwo(t, c[0], c[1])
 	}
 }

@@ -21,6 +21,14 @@
 // property test over random access/invalidate/release streams, an
 // engine-level sweep in internal/tmtest, and the harness-level
 // TestFiguresByteIdenticalFastVsSlowCache.
+//
+// L1 and L2 are private to their core and hold already-resolved versions;
+// the model is non-inclusive, so an access they serve never reaches the
+// shared L3, the translation cache or the MVM partition. Other cores
+// write a core's private state only through commit invalidations.
+// Hierarchy.AccessPrivate exposes exactly those private L1/L2 hits, which
+// SI-TM batches under the scheduler's horizon (DESIGN.md "Horizon
+// batching").
 package cache
 
 import (
@@ -195,6 +203,17 @@ func (l *level) accessScan(line mem.Line, set int) bool {
 	stamps[victim] = l.clock
 	l.mru[set] = int32(victim)
 	l.markDirty(set)
+	return false
+}
+
+// holds reports, mutating nothing, whether set holds line.
+func (l *level) holds(line mem.Line, set int) bool {
+	base := set * l.ways
+	for _, tag := range l.tags[base : base+l.ways] {
+		if tag == line {
+			return true
+		}
+	}
 	return false
 }
 
@@ -393,24 +412,46 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 	return h.cfg.MemLatency + indirection
 }
 
-// PredictedHit reports, without touching any cache state, whether an
-// Access/AccessVersioned of line would take the L1 predicted-hit fast
-// path — a single tag compare against the set's MRU way that charges
-// L1Latency and mutates nothing (no clock tick, no stamp write, no MRU
-// repoint, no lower-level traffic). Engines use it to certify an access
-// as non-interacting before batching it past the conductor's inline bound
-// (sched.Thread.TickHinted): a predicted hit is purely observational, so
-// it commutes with anything a parked thread could do below the horizon.
+// AccessPrivate performs the access to line only if this core's private
+// caches serve it. If L1 (any way) or L2 holds the line it does exactly
+// what Access and AccessVersioned would — the two agree up to an L2 miss:
+// an L1 hit stamps L1, an L2 hit fills L1 and stamps L2, and Stats count
+// the same — and returns that latency and true. Otherwise it mutates
+// nothing and returns false, and the caller takes the full access.
 //
-// In Reference mode it always reports false: the oracle hierarchy's hits
-// rewrite LRU stamps, so no access is mutation-free there.
-func (h *Hierarchy) PredictedHit(line mem.Line) bool {
-	if h.ref != nil {
-		return false
+// Engines use it to certify an access as non-interacting before batching
+// it past the conductor's inline bound (sched.Thread.TickHinted): a
+// private hit reads and writes only this core's L1/L2 and Stats, which
+// no other core touches except through commit invalidations — audited
+// effects that a published slack keeps beyond the horizon. The model is
+// non-inclusive, so an L2 hit never reaches the L3, the translation cache
+// or the MVM partition.
+//
+// In Reference mode, and for line 0 (whose oracle lookup "hits" empty
+// ways), it always returns false.
+func (h *Hierarchy) AccessPrivate(line mem.Line) (uint64, bool) {
+	if h.ref != nil || line == 0 {
+		return 0, false
 	}
 	l1 := h.l1
 	set := l1.setOf(line)
-	return line != 0 && l1.tags[set*l1.ways+int(l1.mru[set])] == line
+	switch {
+	case l1.tags[set*l1.ways+int(l1.mru[set])] == line:
+		// Way-predicted hit: nothing to update (see level.access).
+	case l1.holds(line, set):
+		l1.accessScan(line, set) // hits and stamps
+	case h.l2.holds(line, h.l2.setOf(line)):
+		l1.accessScan(line, set) // misses and fills
+		h.l2.access(line)
+		h.Stats.Accesses++
+		h.Stats.L2Hits++
+		return h.cfg.L2Latency, true
+	default:
+		return 0, false
+	}
+	h.Stats.Accesses++
+	h.Stats.L1Hits++
+	return h.cfg.L1Latency, true
 }
 
 // Invalidate drops line from the private caches of this core, the cached

@@ -68,7 +68,12 @@ func (p *diffPair) step(t *testing.T, rng *rand.Rand, versioned bool) {
 		line = mem.Line(rng.Uint64() | 1<<40)
 	}
 	f, s := p.fast[core], p.slow[core]
-	switch op := rng.Intn(10); {
+	switch op := rng.Intn(12); {
+	case op >= 10: // horizon-batched access: private hit, else the full access
+		if rng.Intn(16) == 0 {
+			line = 0
+		}
+		p.accessPrivate(t, core, line, versioned && rng.Intn(2) == 0)
 	case op < 5: // plain access
 		if got, want := f.Access(line), s.Access(line); got != want {
 			t.Fatalf("core %d Access(%d) = %d, oracle %d", core, line, got, want)
@@ -119,6 +124,40 @@ func (p *diffPair) step(t *testing.T, rng *rand.Rand, versioned bool) {
 	}
 }
 
+// accessPrivate checks Hierarchy.AccessPrivate on the fast side against
+// the oracle's full access of the same kind: a private hit must charge
+// exactly what the oracle charges, and that must be the L1 or L2 latency;
+// a refusal must leave the fast side untouched, so its full access still
+// matches the oracle, which must then have missed L2 (line 0, which the
+// method always refuses, excepted). The caller's Stats check covers both.
+func (p *diffPair) accessPrivate(t *testing.T, core int, line mem.Line, versioned bool) {
+	t.Helper()
+	f, s := p.fast[core], p.slow[core]
+	lat, ok := f.AccessPrivate(line)
+	var want uint64
+	if versioned {
+		if !ok {
+			lat = f.AccessVersioned(line)
+		}
+		want = s.AccessVersioned(line)
+	} else {
+		if !ok {
+			lat = f.Access(line)
+		}
+		want = s.Access(line)
+	}
+	if lat != want {
+		t.Fatalf("core %d AccessPrivate(%d) ok=%t: latency %d, oracle %d", core, line, ok, lat, want)
+	}
+	private := want == p.cfg.L1Latency || want == p.cfg.L2Latency
+	if ok && !private {
+		t.Fatalf("core %d AccessPrivate(%d) hit at latency %d, not L1 or L2", core, line, lat)
+	}
+	if !ok && private && line != 0 {
+		t.Fatalf("core %d AccessPrivate(%d) refused a private hit (latency %d)", core, line, want)
+	}
+}
+
 // TestDifferentialFastVsSlow drives random operation streams through the
 // fast and reference hierarchies across geometries, core counts and
 // scratch reuse (each session releases the fast side's arrays into a
@@ -147,7 +186,8 @@ func TestDifferentialFastVsSlow(t *testing.T) {
 }
 
 // TestReferenceModeMatchesFast pins Config.Reference: a hierarchy built
-// in reference mode must observe exactly what the fast path observes.
+// in reference mode must observe exactly what the fast path observes, and
+// never certifies a private hit (its hits go through the oracle).
 func TestReferenceModeMatchesFast(t *testing.T) {
 	cfg := diffConfigs()[1]
 	fsh := NewShared(cfg)
@@ -159,6 +199,9 @@ func TestReferenceModeMatchesFast(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		line := mem.Line(rng.Intn(192) + 1)
+		if _, ok := ref.AccessPrivate(line); ok {
+			t.Fatalf("reference AccessPrivate(%d) certified a hit", line)
+		}
 		if rng.Intn(3) == 0 {
 			if got, want := fast.AccessVersioned(line), ref.AccessVersioned(line); got != want {
 				t.Fatalf("AccessVersioned(%d) = %d fast, %d reference", line, got, want)

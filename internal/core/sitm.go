@@ -497,16 +497,18 @@ func (x *txn) read(a mem.Addr) uint64 {
 	// access may fill both the data line and its translation.
 	x.e.presence.Note(line, x.selfBit)
 	x.e.xpresence.Note(cache.XlateLine(line), x.selfBit)
-	if x.e.batch && x.h.PredictedHit(line) {
+	if lat, ok := x.privateHit(line); ok {
 		// Certified non-interacting: the presence Notes above are blind
-		// ORs and a predicted L1 hit mutates no cache state, so this
-		// event may run inside a batched quantum past the inline bound
-		// (DESIGN.md "Horizon batching"). The snapshot read below is
-		// pinned too — any concurrent install sits behind the horizon.
-		x.t.TickHinted(x.h.AccessVersioned(line))
+		// ORs and a private L1/L2 hit touches only this core's caches,
+		// which other cores write only through commit invalidations
+		// beyond the horizon, so this event may run inside a batched
+		// quantum past the inline bound (DESIGN.md "Horizon batching").
+		// The snapshot read below is pinned too — any concurrent install
+		// sits behind the horizon.
+		x.t.TickHinted(lat)
 	} else {
-		// A miss (or scan-path hit) fills and evicts — including shared
-		// L3 state — so it must happen at the per-event point.
+		// An L2 miss reaches the shared L3, the translation cache and
+		// the MVM partition, so it must happen at the per-event point.
 		x.t.Fence()
 		x.t.Tick(x.h.AccessVersioned(line))
 	}
@@ -541,10 +543,10 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 {
 func (x *txn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
 	x.e.presence.Note(line, x.selfBit)
-	if x.e.batch && x.h.PredictedHit(line) {
-		// Same certification as read: a predicted L1 hit plus the local
+	if lat, ok := x.privateHit(line); ok {
+		// Same certification as read: a private L1/L2 hit plus the local
 		// write-set store interacts with nothing inside the horizon.
-		x.t.TickHinted(x.h.Access(line))
+		x.t.TickHinted(lat)
 	} else {
 		x.t.Fence()
 		x.t.Tick(x.h.Access(line)) // write into the private cache
@@ -553,6 +555,17 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
 	}
 	x.writes.Store(a, v)
+}
+
+// privateHit performs the access to line when horizon batching is on and
+// this core's private caches serve it (cache.Hierarchy.AccessPrivate; an
+// L1 or L2 hit costs the same plain or versioned). It reports false, and
+// touches nothing, otherwise.
+func (x *txn) privateHit(line mem.Line) (uint64, bool) {
+	if !x.e.batch {
+		return 0, false
+	}
+	return x.h.AccessPrivate(line)
 }
 
 // trackRead registers this transaction as a visible reader of line for

@@ -46,6 +46,17 @@ type Workload = exp.Workload
 // toward the paper's scale (Options.Scale).
 type Scalable = exp.Scalable
 
+// MaxScale is the largest Options.Scale that sitm-bench's -scale flag and
+// sweep plans accept; both are checked against it before any simulation
+// starts. Its basis is that every workload's scaled sizes must still
+// allocate. At 1024 the largest set-up slice, Bayes's task seeds (30·scale
+// per thread at sched.MaxThreads), is 240 MiB; Array seeds 2 Mi padded
+// lines; and the quadratic spans, Bayes's (48·scale)² adjacency words and
+// Labyrinth's (24·scale)²·3 grid, are reserved but not touched. Much
+// larger values outgrow host memory and then overflow the allocator (a
+// makeslice panic inside a worker). The paper's inputs need at most 15.
+const MaxScale = 1024
+
 // EngineKind names a TM implementation in the tm engine registry.
 type EngineKind = string
 
@@ -102,7 +113,7 @@ type Options struct {
 	NoXlate bool
 	// Scale multiplies workload input sizes (1 = the fast defaults;
 	// larger values approach the paper's configurations at the cost of
-	// wall-clock time).
+	// wall-clock time). At most MaxScale.
 	Scale int
 	// PerEvent runs the fast tree conductor with horizon batching
 	// disabled: every charge goes through the per-event protocol, as it

@@ -162,8 +162,10 @@ func (t *Thread) LocalTick(c uint64) {
 // certified non-interacting: until the thread's next Tick, TickHinted,
 // Fence or Stall it will only perform effects that commute with anything
 // a parked thread could do inside the horizon — blind presence ORs,
-// mutation-free way-predicted cache hits, snapshot reads whose outcome is
-// pinned by the parked threads' published slacks, and pure local work.
+// private L1/L2 cache hits (state no other thread writes except through
+// commit invalidations, which lie beyond the horizon), snapshot reads
+// whose outcome is pinned by the parked threads' published slacks, and
+// pure local work.
 //
 // Under the tree conductor it first takes Tick's inline path (the thread
 // still leads). Past that bound it may *batch*: if the post-charge key is

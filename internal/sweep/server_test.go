@@ -276,6 +276,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/api/plans", Spec{Threads: sched.MaxThreads + 1}, nil); code != http.StatusBadRequest {
 		t.Fatalf("thread count past sched.MaxThreads returned %d", code)
 	}
+	if code := postJSON(t, ts.URL+"/api/plans", Spec{Scale: harness.MaxScale + 1}, nil); code != http.StatusBadRequest {
+		t.Fatalf("scale past harness.MaxScale returned %d", code)
+	}
 	for _, path := range []string{"/api/plans/nope", "/api/plans/nope/events", "/api/plans/nope/figures/figure1"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {

@@ -87,6 +87,9 @@ func (s Spec) validate() error {
 	if s.Threads > sched.MaxThreads {
 		return fmt.Errorf("sweep: threads %d exceeds the simulator's limit of %d", s.Threads, sched.MaxThreads)
 	}
+	if s.Scale > harness.MaxScale {
+		return fmt.Errorf("sweep: scale %d exceeds the workloads' limit of %d", s.Scale, harness.MaxScale)
+	}
 	return nil
 }
 

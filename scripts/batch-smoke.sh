@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # batch-smoke: end-to-end differential of the horizon-batched conductor.
 #
-# Runs the same small Figure 7 sweep twice with sitm-bench — once with
-# horizon batching (the default) and once with -per-event — and verifies
-# that:
+# Runs each of two small Figure 7 sweeps twice with sitm-bench — once
+# with horizon batching (the default) and once with -per-event — and
+# verifies for each that:
 #   - the rendered figure bytes are identical,
 #   - the batched run actually batched (sched_stats.batched_events > 0),
 #   - the per-event run batched nothing,
 #   - the batched run's coroutine-switch count is strictly lower.
+# The List sweep reads mostly L1 hits; the Array sweep's long reads scan
+# past L1, so its batched events are mostly private L2 hits.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -17,44 +19,52 @@ trap cleanup EXIT
 cd "$(dirname "$0")/.."
 go build -o "$workdir/sitm-bench" ./cmd/sitm-bench
 
-common=(-fig 7 -workload List -seeds 1 -workers 2)
-# Drop the "wrote <path>" status line: it names the -json file, which
-# legitimately differs between the two runs.
-"$workdir/sitm-bench" "${common[@]}" -json "$workdir/batched.json" | grep -v '^wrote ' >"$workdir/batched.txt"
-"$workdir/sitm-bench" "${common[@]}" -per-event -json "$workdir/per-event.json" | grep -v '^wrote ' >"$workdir/per-event.txt"
-
-if ! cmp -s "$workdir/batched.txt" "$workdir/per-event.txt"; then
-  echo "batch-smoke: figure bytes diverge between batched and per-event conductors" >&2
-  diff "$workdir/per-event.txt" "$workdir/batched.txt" >&2 || true
-  exit 1
-fi
-
 # Pull one integer counter out of the sched_stats JSON object.
 counter() { # counter <file> <name>
   sed -n "s/^ *\"$2\": \([0-9]*\),*$/\1/p" "$1" | head -n 1
 }
 
-switches_batched="$(counter "$workdir/batched.json" coroutine_switches)"
-switches_per_event="$(counter "$workdir/per-event.json" coroutine_switches)"
-batched_events="$(counter "$workdir/batched.json" batched_events)"
-batched_events_per_event="$(counter "$workdir/per-event.json" batched_events)"
+smoke() { # smoke <name> <sitm-bench flags...>
+  local name="$1"
+  shift
+  local common=("$@" -seeds 1 -workers 2)
+  # Drop the "wrote <path>" status line: it names the -json file, which
+  # legitimately differs between the two runs.
+  "$workdir/sitm-bench" "${common[@]}" -json "$workdir/batched.json" | grep -v '^wrote ' >"$workdir/batched.txt"
+  "$workdir/sitm-bench" "${common[@]}" -per-event -json "$workdir/per-event.json" | grep -v '^wrote ' >"$workdir/per-event.txt"
 
-echo "batch-smoke: coroutine_switches batched=$switches_batched per-event=$switches_per_event, batched_events=$batched_events"
+  if ! cmp -s "$workdir/batched.txt" "$workdir/per-event.txt"; then
+    echo "batch-smoke: $name: figure bytes diverge between batched and per-event conductors" >&2
+    diff "$workdir/per-event.txt" "$workdir/batched.txt" >&2 || true
+    exit 1
+  fi
 
-if [ -z "$switches_batched" ] || [ -z "$switches_per_event" ]; then
-  echo "batch-smoke: could not read coroutine_switches from the -json reports" >&2
-  exit 1
-fi
-if [ "$batched_events" -eq 0 ]; then
-  echo "batch-smoke: batched run reports zero batched_events — batching never engaged" >&2
-  exit 1
-fi
-if [ "$batched_events_per_event" -ne 0 ]; then
-  echo "batch-smoke: -per-event run reports $batched_events_per_event batched_events" >&2
-  exit 1
-fi
-if [ "$switches_batched" -ge "$switches_per_event" ]; then
-  echo "batch-smoke: batching did not reduce coroutine switches ($switches_batched >= $switches_per_event)" >&2
-  exit 1
-fi
+  switches_batched="$(counter "$workdir/batched.json" coroutine_switches)"
+  switches_per_event="$(counter "$workdir/per-event.json" coroutine_switches)"
+  batched_events="$(counter "$workdir/batched.json" batched_events)"
+  batched_events_per_event="$(counter "$workdir/per-event.json" batched_events)"
+
+  echo "batch-smoke: $name: coroutine_switches batched=$switches_batched per-event=$switches_per_event, batched_events=$batched_events"
+
+  if [ -z "$switches_batched" ] || [ -z "$switches_per_event" ]; then
+    echo "batch-smoke: $name: could not read coroutine_switches from the -json reports" >&2
+    exit 1
+  fi
+  if [ "$batched_events" -eq 0 ]; then
+    echo "batch-smoke: $name: batched run reports zero batched_events — batching never engaged" >&2
+    exit 1
+  fi
+  if [ "$batched_events_per_event" -ne 0 ]; then
+    echo "batch-smoke: $name: -per-event run reports $batched_events_per_event batched_events" >&2
+    exit 1
+  fi
+  if [ "$switches_batched" -ge "$switches_per_event" ]; then
+    echo "batch-smoke: $name: batching did not reduce coroutine switches ($switches_batched >= $switches_per_event)" >&2
+    exit 1
+  fi
+  echo "batch-smoke: $name OK"
+}
+
+smoke List -fig 7 -workload List
+smoke Array -fig 7 -workload Array
 echo "batch-smoke: OK"
