@@ -17,7 +17,9 @@
 // ledger[@theta], e.g. kv@0.99). Sweeps are
 // experiment plans executed on a shared-nothing worker pool; -workers
 // bounds the pool (default: one worker per CPU) and the output is
-// byte-identical at any worker count.
+// byte-identical at any worker count. The requested sections are planned
+// together and each distinct cell is simulated once: Figure 1's and
+// Figure 7's cells are Figure 8's.
 //
 // -cache-dir names a persistent content-addressed result cache: every
 // cell result is stored under a key hashing the cell, its configuration
@@ -30,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -117,8 +120,8 @@ func main() {
 		scale      = flag.Int("scale", 1, "workload size multiplier (larger approaches the paper's inputs)")
 		mvmStats   = flag.Bool("mvm", false, "report the §3 MVM behaviour (coalescing, GC, overheads, dedup) per workload")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory: cells whose key (cell + config + source fingerprints) is already stored are served without simulating; figure bytes are identical either way")
-		jsonPath   = flag.String("json", "", "write a machine-readable benchmark trajectory (wall time, simulated Mcycles/s and hot-path allocs per section) to this file")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the sweeps (not the -json hot-path measurement) to this file")
+		jsonPath   = flag.String("json", "", "write a machine-readable record of the invocation (distinct cells, wall time, simulated cycles and conductor counters) to this file")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering the sweeps to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile, taken after the sweeps complete, to this file")
 	)
 	flag.Parse()
@@ -141,7 +144,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 		os.Exit(2)
 	}
-	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkWorkers(*workers)} {
+	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkWorkers(*workers), checkJSON(*jsonPath), checkCSV(*csvDir)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 			os.Exit(2)
@@ -178,86 +181,72 @@ func main() {
 	}
 	var bench *benchCollector
 	if *jsonPath != "" {
-		bench = newBenchCollector(o.Workers, o.Seeds)
-		bench.report.PerEvent = *perEvent
+		bench = newBenchCollector(o.Workers, o.Seeds, *perEvent)
 		o.CellDone = bench.cellDone
 	}
 
-	ran := false
+	var names []string
+	for _, s := range []struct {
+		name string
+		on   bool
+	}{
+		{"table1", *all || *table == 1},
+		{"figure1", *all || *fig == 1},
+		{"figure7", *all || *fig == 7},
+		{"figure8", *all || *fig == 8},
+		{"table2", *all || *table == 2},
+		{"mvm", *all || *mvmStats},
+		{"figure-oltp", *oltp},
+	} {
+		if s.on {
+			names = append(names, s.name)
+		}
+	}
+	ran := len(names) > 0
+	start := time.Now()
+	secs, err := harness.RenderSections(names, *threads, o)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
+		os.Exit(1)
+	}
+	wall := time.Since(start).Seconds()
 	var findings report.Findings
-	if *all || *table == 1 {
-		harness.Table1(os.Stdout)
-		fmt.Println()
-		ran = true
-	}
-	if *all || *fig == 1 {
-		bench.begin()
-		results := harness.Figure1(os.Stdout, *threads, o)
-		bench.end("figure1")
-		if *verify {
-			shares := make(map[string]float64, len(results))
-			for _, r := range results {
-				if t := r.RWAborts + r.WWAborts; t > 0 {
-					shares[r.Workload] = r.RWAborts / t
+	for _, s := range secs {
+		os.Stdout.Write(s.Text)
+		switch data := s.Data.(type) {
+		case []harness.Result: // Figure 1
+			if *verify {
+				shares := make(map[string]float64, len(data))
+				for _, r := range data {
+					if t := r.RWAborts + r.WWAborts; t > 0 {
+						shares[r.Workload] = r.RWAborts / t
+					}
 				}
+				findings = append(findings, report.CheckFigure1(shares)...)
 			}
-			findings = append(findings, report.CheckFigure1(shares)...)
+		case map[string]map[int][3]float64: // Figure 7
+			writeCSV(*csvDir, "figure7.csv", func(w *os.File) error { return harness.WriteFigure7CSV(w, data) })
+			if *chart {
+				chartFigure7(data)
+			}
+			if *verify {
+				findings = append(findings, report.CheckFigure7(data)...)
+			}
+		case map[string]map[string][]float64: // Figure 8
+			writeCSV(*csvDir, "figure8.csv", func(w *os.File) error { return harness.WriteFigure8CSV(w, data) })
+			if *chart {
+				chartFigure8(data)
+			}
+			if *verify {
+				findings = append(findings, report.CheckFigure8(data, harness.Fig8Threads)...)
+			}
+		case map[string][6]uint64: // Table 2
+			writeCSV(*csvDir, "table2.csv", func(w *os.File) error { return harness.WriteTable2CSV(w, data) })
+			if *verify {
+				findings = append(findings, report.CheckTable2(data)...)
+			}
 		}
 		fmt.Println()
-		ran = true
-	}
-	if *all || *fig == 7 {
-		bench.begin()
-		data := harness.Figure7(os.Stdout, o)
-		bench.end("figure7")
-		writeCSV(*csvDir, "figure7.csv", func(w *os.File) error { return harness.WriteFigure7CSV(w, data) })
-		if *chart {
-			chartFigure7(data)
-		}
-		if *verify {
-			findings = append(findings, report.CheckFigure7(data)...)
-		}
-		fmt.Println()
-		ran = true
-	}
-	if *all || *fig == 8 {
-		bench.begin()
-		data := harness.Figure8(os.Stdout, o)
-		bench.end("figure8")
-		writeCSV(*csvDir, "figure8.csv", func(w *os.File) error { return harness.WriteFigure8CSV(w, data) })
-		if *chart {
-			chartFigure8(data)
-		}
-		if *verify {
-			findings = append(findings, report.CheckFigure8(data, harness.Fig8Threads)...)
-		}
-		fmt.Println()
-		ran = true
-	}
-	if *all || *table == 2 {
-		bench.begin()
-		data := harness.Table2(os.Stdout, *threads, o)
-		bench.end("table2")
-		writeCSV(*csvDir, "table2.csv", func(w *os.File) error { return harness.WriteTable2CSV(w, data) })
-		if *verify {
-			findings = append(findings, report.CheckTable2(data)...)
-		}
-		fmt.Println()
-		ran = true
-	}
-	if *all || *mvmStats {
-		bench.begin()
-		harness.MVMReport(os.Stdout, *threads, o)
-		bench.end("mvm")
-		fmt.Println()
-		ran = true
-	}
-	if *oltp {
-		bench.begin()
-		harness.FigureOLTP(os.Stdout, o)
-		bench.end("figure-oltp")
-		fmt.Println()
-		ran = true
 	}
 	stopProfiles()
 	if o.Cache != nil && ran {
@@ -268,7 +257,7 @@ func main() {
 		}
 	}
 	if bench != nil && ran {
-		if err := bench.write(*jsonPath); err != nil {
+		if err := bench.write(*jsonPath, wall); err != nil {
 			fmt.Fprintf(os.Stderr, "sitm-bench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
@@ -312,6 +301,31 @@ func checkWorkers(n int) error {
 		return fmt.Errorf("bad -workers %d: worker count must be 0 (one per CPU) or more", n)
 	}
 	return nil
+}
+
+// checkJSON rejects a -json path whose directory does not exist, which
+// would otherwise fail only after the whole sweep.
+func checkJSON(path string) error {
+	if path == "" {
+		return nil
+	}
+	if dir := filepath.Dir(path); !isDir(dir) {
+		return fmt.Errorf("bad -json %s: directory %s does not exist", path, dir)
+	}
+	return nil
+}
+
+// checkCSV rejects a -csv path that is not an existing directory.
+func checkCSV(dir string) error {
+	if dir != "" && !isDir(dir) {
+		return fmt.Errorf("bad -csv %s: not an existing directory", dir)
+	}
+	return nil
+}
+
+func isDir(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.IsDir()
 }
 
 // parseSeeds interprets the -seeds flag. A bare integer N expands to the

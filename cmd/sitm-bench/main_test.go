@@ -35,6 +35,17 @@ func TestBadScaleAndWorkersExitTwo(t *testing.T) {
 	}
 }
 
+// TestBadOutputsExitTwo checks that a -json file in a missing directory
+// and a -csv path that is not an existing directory are rejected before
+// any simulation, instead of after the sweep they were meant to record.
+func TestBadOutputsExitTwo(t *testing.T) {
+	for _, c := range [][2]string{
+		{"-json", "/nonexistent/x.json"}, {"-csv", "/nonexistent"}, {"-csv", os.Args[0]},
+	} {
+		checkExitsTwo(t, c[0], c[1])
+	}
+}
+
 // checkExitsTwo re-executes the test binary as sitm-bench with flag set
 // to value on a small table-2 run and requires exit status 2, a one-line
 // message naming the flag and value, and no output.

@@ -4,7 +4,7 @@ import "repro/internal/mem"
 
 // This file retains the pre-fast-path memory-hierarchy model verbatim as
 // the differential oracle for the way-predicted implementation in
-// cache.go, mirroring the sched.Run/sched.Slow pattern: slowLevel and
+// cache.go, mirroring sched.Run and its reference conductor: slowLevel and
 // SlowHierarchy are the readable specification of the simulated
 // architecture, and the property/engine/harness-level differential tests
 // pin that the fast path charges identical latencies, produces identical

@@ -56,8 +56,9 @@ type CellConfig struct {
 	// MeasureMVM additionally runs the §3.1–§3.3 MVM measurements
 	// (overheads, dedup) per cell.
 	MeasureMVM bool `json:"measure_mvm,omitempty"`
-	// RefSched runs the cell under the reference linear-scan conductor
-	// (sched.Sim.Slow) instead of the inline fast path.
+	// RefSched runs the cell under the reference conductor
+	// (sched.Sim.RunChoose with sched.DefaultChooser) instead of the
+	// inline fast path.
 	RefSched bool `json:"ref_sched,omitempty"`
 	// PerEvent runs the tree conductor with horizon batching disabled
 	// (sched.Sim.SetPerEvent): every charge goes through the per-event
@@ -187,7 +188,7 @@ func ExecuteCell(c Cell, cfg CellConfig, factory func() Workload, warm WarmState
 	s.SetPerEvent(cfg.PerEvent)
 	body := func(th *sched.Thread) { w.Run(m, th, warm.bo) }
 	if cfg.RefSched {
-		s.Slow(body)
+		s.RunChoose(body, sched.DefaultChooser{})
 	} else {
 		s.Run(body)
 	}

@@ -2,6 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"testing"
 
 	"repro/internal/exp"
@@ -20,15 +25,45 @@ func cachedOpts(t *testing.T) Options {
 	return o
 }
 
+// update regenerates the golden section digests in testdata/ instead of
+// checking them: go test ./internal/harness -run WarmVsCold -update.
+var update = flag.Bool("update", false, "rewrite "+digestsPath+" from the current renders")
+
+// digestsPath holds the SHA-256 of every section's canonical bytes under
+// TestFiguresAreByteIdenticalWarmVsCold's options. A change that moves a
+// figure fails here until the digests are regenerated with -update, so
+// the diff of this file is the record of every deliberate figure change.
+const digestsPath = "testdata/digests.json"
+
 // TestFiguresAreByteIdenticalWarmVsCold is the house differential test
 // applied to the cache: every figure rendered from cached cell results
-// must be byte-for-byte the figure rendered from live simulation.
+// must be byte-for-byte the figure rendered from live simulation. The
+// cold bytes are also checked against the golden digests.
 func TestFiguresAreByteIdenticalWarmVsCold(t *testing.T) {
 	o := cachedOpts(t)
+	// One serving-tier workload, so figure-oltp renders a table, not
+	// just its header; the paper figures ignore it.
+	o.Only = append(o.Only, "kv@0.50")
+	want := make(map[string]string)
+	if !*update {
+		data, err := os.ReadFile(digestsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("%s: %v", digestsPath, err)
+		}
+	}
+	got := make(map[string]string)
 	for _, figure := range FigureNames {
 		cold, err := RenderFigureText(figure, 4, o)
 		if err != nil {
 			t.Fatal(err)
+		}
+		got[figure] = fmt.Sprintf("%x", sha256.Sum256(cold))
+		if !*update && got[figure] != want[figure] {
+			t.Errorf("%s: digest %s, golden %s (rerun with -update if the change is deliberate):\n%s",
+				figure, got[figure], want[figure], cold)
 		}
 		warm, err := RenderFigureText(figure, 4, o)
 		if err != nil {
@@ -46,6 +81,15 @@ func TestFiguresAreByteIdenticalWarmVsCold(t *testing.T) {
 		}
 		if !bytes.Equal(direct, warm) {
 			t.Errorf("%s: cached render differs from uncached:\nuncached:\n%s\ncached:\n%s", figure, direct, warm)
+		}
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestsPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

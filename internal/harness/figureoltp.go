@@ -64,23 +64,19 @@ func oltpFigureNames(o Options) []string {
 // read-only-commit counts, the abort rate, and the merged commit-latency
 // quantiles in simulated cycles.
 func FigureOLTP(w io.Writer, o Options) map[sweepKey]Result {
-	names := oltpFigureNames(o)
-	res := make(map[sweepKey]Result)
-	if len(names) > 0 {
-		res = mustSweep(names, fig7Engines, OLTPThreads, o)
-	}
-	return renderFigureOLTP(w, names, res)
+	return mustRender(w, "figure-oltp", 0, o).(map[sweepKey]Result)
 }
 
-// renderFigureOLTP renders the figure from seed-averaged sweep points —
-// a pure function of aggregated cell results, no simulator calls.
-func renderFigureOLTP(w io.Writer, names []string, res map[sweepKey]Result) map[sweepKey]Result {
+// renderFigureOLTP renders the figure from plan-ordered cell results — a
+// pure function of serializable cell records, no simulator calls.
+func renderFigureOLTP(w io.Writer, g grid, rs cellResults) map[sweepKey]Result {
+	res := aggregateSweep(rs, len(g.seeds))
 	fmt.Fprintln(w, "Figure OLTP: serving-tier abort rates and commit-latency tails (cycles)")
-	for _, name := range names {
+	for _, name := range g.workloads {
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "%s\tthreads\tengine\tcommits\tro-commits\tabort %%\tp50\tp99\tp999\n", name)
-		for _, th := range OLTPThreads {
-			for _, kind := range fig7Engines {
+		for _, th := range g.threads {
+			for _, kind := range g.engines {
 				r := res[sweepKey{Workload: name, Engine: kind, Threads: th}]
 				fmt.Fprintf(tw, "\t%d\t%s\t%.1f\t%.1f\t%.2f\t%d\t%d\t%d\n",
 					th, kind, r.Commits, r.ROCommits, 100*r.AbortRate,

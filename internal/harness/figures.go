@@ -15,19 +15,19 @@ var Fig1Workloads = []string{"Genome", "Bayes", "Intruder", "Kmeans", "Labyrinth
 // under 2PL at the given thread count and writes the table: the paper
 // reports 75-99% of aborts are read-write across the suite.
 func Figure1(w io.Writer, threads int, o Options) []Result {
-	names := o.filterWorkloads(Fig1Workloads)
-	res := mustSweep(names, []EngineKind{TwoPL}, []int{threads}, o)
-	return renderFigure1(w, threads, names, res)
+	return mustRender(w, "figure1", threads, o).([]Result)
 }
 
-// renderFigure1 renders Figure 1 from seed-averaged sweep points — a
-// pure function of aggregated cell results, no simulator calls.
-func renderFigure1(w io.Writer, threads int, names []string, res map[sweepKey]Result) []Result {
+// renderFigure1 renders Figure 1 from plan-ordered cell results — a pure
+// function of serializable cell records, no simulator calls.
+func renderFigure1(w io.Writer, g grid, rs cellResults) []Result {
+	threads := g.threads[0]
+	res := aggregateSweep(rs, len(g.seeds))
 	fmt.Fprintf(w, "Figure 1: Read-Write and Write-Write Aborts in 2PL (%d threads)\n", threads)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\taborts\tread-write %\twrite-write %")
 	var out []Result
-	for _, name := range names {
+	for _, name := range g.workloads {
 		r := res[sweepKey{Workload: name, Engine: TwoPL, Threads: threads}]
 		total := r.RWAborts + r.WWAborts
 		rw, ww := 0.0, 0.0
@@ -53,21 +53,20 @@ var fig7Engines = []EngineKind{TwoPL, SONTM, SITM}
 // 16 and 32 threads and writes one table per benchmark. Values below 1.0
 // mean fewer aborts than 2PL at the same thread count.
 func Figure7(w io.Writer, o Options) map[string]map[int][3]float64 {
-	names := o.filterWorkloads(registryNames())
-	res := mustSweep(names, fig7Engines, Fig7Threads, o)
-	return renderFigure7(w, names, res)
+	return mustRender(w, "figure7", 0, o).(map[string]map[int][3]float64)
 }
 
-// renderFigure7 renders Figure 7 from seed-averaged sweep points — a
-// pure function of aggregated cell results, no simulator calls.
-func renderFigure7(w io.Writer, names []string, res map[sweepKey]Result) map[string]map[int][3]float64 {
+// renderFigure7 renders Figure 7 from plan-ordered cell results — a pure
+// function of serializable cell records, no simulator calls.
+func renderFigure7(w io.Writer, g grid, rs cellResults) map[string]map[int][3]float64 {
+	res := aggregateSweep(rs, len(g.seeds))
 	fmt.Fprintln(w, "Figure 7: Abort rates relative to 2PL")
 	out := make(map[string]map[int][3]float64)
-	for _, name := range names {
+	for _, name := range g.workloads {
 		out[name] = make(map[int][3]float64)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "%s\tthreads\t2PL\tSONTM\tSI-TM\n", name)
-		for _, th := range Fig7Threads {
+		for _, th := range g.threads {
 			base := res[sweepKey{Workload: name, Engine: TwoPL, Threads: th}]
 			cs := res[sweepKey{Workload: name, Engine: SONTM, Threads: th}]
 			si := res[sweepKey{Workload: name, Engine: SITM, Threads: th}]
@@ -99,24 +98,23 @@ var Fig8Threads = []int{1, 2, 4, 8, 16, 32}
 // normalised to the same engine at one thread — for every benchmark and
 // engine, and writes one table per benchmark.
 func Figure8(w io.Writer, o Options) map[string]map[string][]float64 {
-	names := o.filterWorkloads(registryNames())
-	res := mustSweep(names, fig7Engines, Fig8Threads, o)
-	return renderFigure8(w, names, res)
+	return mustRender(w, "figure8", 0, o).(map[string]map[string][]float64)
 }
 
-// renderFigure8 renders Figure 8 from seed-averaged sweep points — a
-// pure function of aggregated cell results, no simulator calls.
-func renderFigure8(w io.Writer, names []string, res map[sweepKey]Result) map[string]map[string][]float64 {
+// renderFigure8 renders Figure 8 from plan-ordered cell results — a pure
+// function of serializable cell records, no simulator calls.
+func renderFigure8(w io.Writer, g grid, rs cellResults) map[string]map[string][]float64 {
+	res := aggregateSweep(rs, len(g.seeds))
 	fmt.Fprintln(w, "Figure 8: Application speedup (throughput vs 1 thread)")
 	out := make(map[string]map[string][]float64)
-	for _, name := range names {
+	for _, name := range g.workloads {
 		out[name] = make(map[string][]float64)
 		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "%s\tthreads\t2PL\tSONTM\tSI-TM\n", name)
 		series := make(map[EngineKind][]float64)
-		for _, kind := range fig7Engines {
+		for _, kind := range g.engines {
 			base := res[sweepKey{Workload: name, Engine: kind, Threads: 1}].Throughput
-			for _, th := range Fig8Threads {
+			for _, th := range g.threads {
 				r := res[sweepKey{Workload: name, Engine: kind, Threads: th}]
 				sp := 0.0
 				if base > 0 {
@@ -126,7 +124,7 @@ func renderFigure8(w io.Writer, names []string, res map[sweepKey]Result) map[str
 			}
 			out[name][kind] = series[kind]
 		}
-		for i, th := range Fig8Threads {
+		for i, th := range g.threads {
 			fmt.Fprintf(tw, "\t%d\t%.2f\t%.2f\t%.2f\n", th, series[TwoPL][i], series[SONTM][i], series[SITM][i])
 		}
 		tw.Flush()
@@ -152,20 +150,19 @@ func Table1(w io.Writer) {
 // thread count and writes the per-version access histogram of Appendix A:
 // the paper finds <1% of accesses target versions older than the 4th.
 func Table2(w io.Writer, threads int, o Options) map[string][6]uint64 {
-	o.UnboundedVersions = true
-	names := o.filterWorkloads(registryNames())
-	res := mustSweep(names, []EngineKind{SITM}, []int{threads}, o)
-	return renderTable2(w, threads, names, res)
+	return mustRender(w, "table2", threads, o).(map[string][6]uint64)
 }
 
-// renderTable2 renders Table 2 from seed-averaged sweep points — a pure
-// function of aggregated cell results, no simulator calls.
-func renderTable2(w io.Writer, threads int, names []string, res map[sweepKey]Result) map[string][6]uint64 {
+// renderTable2 renders Table 2 from plan-ordered cell results — a pure
+// function of serializable cell records, no simulator calls.
+func renderTable2(w io.Writer, g grid, rs cellResults) map[string][6]uint64 {
+	threads := g.threads[0]
+	res := aggregateSweep(rs, len(g.seeds))
 	fmt.Fprintf(w, "Table 2: Number of accesses to specific MVM versions (%d threads, unbounded)\n", threads)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\t1st\t2nd\t3rd\t4th\t5th\ttail\tolder-than-4th %")
 	out := make(map[string][6]uint64)
-	for _, name := range names {
+	for _, name := range g.workloads {
 		r := res[sweepKey{Workload: name, Engine: SITM, Threads: threads}]
 		var row [6]uint64
 		copy(row[:5], r.MVM.AccessDepth[:])

@@ -11,6 +11,9 @@
 // cell as one isolated deterministic simulation, optionally memoized
 // through a content-addressed result cache (Options.Cache) — and renders
 // figures as pure functions of the returned serializable cell results.
+// One table (sections) names each section's cells and renderer;
+// RenderSections renders any list of sections and simulates every
+// distinct cell among them once.
 // Engines are constructed through the tm engine registry; each cell
 // builds its own engine, memory hierarchy and workload instance
 // (shared-nothing), so the lowest-cycle-first schedule inside a cell is
@@ -130,11 +133,12 @@ type Options struct {
 	CellDone func(c exp.Cell, res exp.CellResult)
 
 	// measureMVM additionally runs the §3.1–§3.3 MVM measurements
-	// (overheads, dedup) per cell; set internally by MVMReport.
+	// (overheads, dedup) per cell; set internally by the mvm section.
 	measureMVM bool
-	// refSched runs every cell under the reference linear-scan
-	// conductor (sched.Sim.Slow) instead of the inline fast path; the
-	// differential tests use it to pin byte-identical figure output.
+	// refSched runs every cell under the reference conductor
+	// (sched.Sim.RunChoose with sched.DefaultChooser) instead of the
+	// inline fast path; the differential tests use it to pin
+	// byte-identical figure output.
 	refSched bool
 	// refCache runs every cell with the reference memory-hierarchy
 	// model (cache.SlowHierarchy) instead of the way-predicted fast
@@ -185,18 +189,13 @@ func (o Options) cellConfig() exp.CellConfig {
 	}
 }
 
-// runner returns the experiment runner configured by the options.
-func (o Options) runner() exp.Runner {
-	return exp.Runner{Workers: o.Workers, Progress: o.Progress}
-}
-
-// cellRunner assembles the cell layer's executor for these options: the
-// worker pool, the cell configuration, the workload registry and the
-// optional result cache.
-func (o Options) cellRunner() exp.CellRunner {
+// cellRunner assembles the cell layer's executor for these options and
+// the cell configuration cfg: the worker pool, the workload registry and
+// the optional result cache.
+func (o Options) cellRunner(cfg exp.CellConfig) exp.CellRunner {
 	return exp.CellRunner{
-		Runner:   o.runner(),
-		Config:   o.cellConfig(),
+		Runner:   exp.Runner{Workers: o.Workers, Progress: o.Progress},
+		Config:   cfg,
 		Resolve:  WorkloadByName,
 		Cache:    o.Cache,
 		CellDone: o.CellDone,
@@ -305,7 +304,7 @@ func Run(kind EngineKind, factory func() Workload, threads int, o Options) Resul
 	for _, seed := range o.Seeds {
 		plan = append(plan, exp.Cell{Workload: name, Engine: kind, Threads: threads, Seed: seed})
 	}
-	cr := o.cellRunner()
+	cr := o.cellRunner(o.cellConfig())
 	cr.Resolve = func(string) (func() Workload, error) { return factory, nil }
 	rs, err := cr.Run(plan)
 	if err != nil {
@@ -334,30 +333,6 @@ func aggregateSweep(rs []exp.Result[exp.CellResult], nSeeds int) map[sweepKey]Re
 			aggregate(c.Engine, c.Threads, cells)
 	}
 	return out
-}
-
-// sweep runs the full workloads × engines × threads × seeds cross-product
-// as ONE experiment plan — so the worker pool parallelises across the
-// whole sweep — and returns the seed-averaged results keyed by sweep
-// point. Workload names must exist in the registry.
-func sweep(workloads []string, engines []EngineKind, threads []int, o Options) (map[sweepKey]Result, error) {
-	o = o.withDefaults()
-	plan := exp.Cross(workloads, engines, threads, o.Seeds)
-	rs, err := o.cellRunner().Run(plan)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateSweep(rs, len(o.Seeds)), nil
-}
-
-// mustSweep is sweep for callers whose workload names come from the
-// registry itself and therefore cannot be unknown.
-func mustSweep(workloads []string, engines []EngineKind, threads []int, o Options) map[sweepKey]Result {
-	m, err := sweep(workloads, engines, threads, o)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return m
 }
 
 // Registry returns the workload factories in the paper's presentation

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"text/tabwriter"
-
-	"repro/internal/exp"
 )
 
 // MVMRow summarises the §3 multiversioned-memory behaviour of one
@@ -26,32 +24,18 @@ type MVMRow struct {
 // coalescing collapses versions, how much the write-driven GC reclaims,
 // the deepest version list, the indirection storage overhead, and the
 // deduplication opportunity of the indirection layer. The cells run on
-// the options' worker pool (one isolated simulation per workload) and
-// through the options' result cache when configured; rendering is a pure
-// function of the returned cell records (renderMVMReport).
+// the options' worker pool (one isolated simulation per workload, first
+// seed only) and through the options' result cache when configured;
+// rendering is a pure function of the returned cell records
+// (renderMVMReport).
 func MVMReport(w io.Writer, threads int, o Options) []MVMRow {
-	if len(o.Seeds) == 0 {
-		o.Seeds = []uint64{1}
-	}
-	o.measureMVM = true
-	plan := mvmPlan(threads, o)
-	rs, err := o.cellRunner().Run(plan)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return renderMVMReport(w, threads, o.Seeds[0], rs)
-}
-
-// mvmPlan builds the MVM report's plan: every selected workload on SI-TM
-// at one thread count, first seed only.
-func mvmPlan(threads int, o Options) exp.Plan {
-	names := o.filterWorkloads(registryNames())
-	return exp.Cross(names, []EngineKind{SITM}, []int{threads}, o.Seeds[:1])
+	return mustRender(w, "mvm", threads, o).([]MVMRow)
 }
 
 // renderMVMReport renders the §3 table from plan-ordered cell records —
 // no simulator calls, so it renders identically from a warm cache.
-func renderMVMReport(w io.Writer, threads int, seed uint64, rs []exp.Result[exp.CellResult]) []MVMRow {
+func renderMVMReport(w io.Writer, g grid, rs cellResults) []MVMRow {
+	threads, seed := g.threads[0], g.seeds[0]
 	fmt.Fprintf(w, "MVM behaviour under SI-TM (%d threads, seed %d)\n", threads, seed)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "benchmark\tinstalls\tcoalesced %\tgc reclaimed\tpeak versions\toverhead %\tsharable %\tstalls")

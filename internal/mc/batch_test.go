@@ -80,12 +80,15 @@ func TestLitmusBatchedVsPerEvent(t *testing.T) {
 		s.SetPerEvent(true)
 		s.Run(body)
 	}
+	reference := func(s *sched.Sim, body func(*sched.Thread)) {
+		s.RunChoose(body, sched.DefaultChooser{})
+	}
 	for _, prog := range Programs() {
 		for _, engine := range tm.Engines() {
 			t.Run(prog.Name+"/"+engine, func(t *testing.T) {
 				b := runLitmusOnce(t, prog, engine, (*sched.Sim).Run)
 				p := runLitmusOnce(t, prog, engine, perEvent)
-				s := runLitmusOnce(t, prog, engine, (*sched.Sim).Slow)
+				s := runLitmusOnce(t, prog, engine, reference)
 				// Per-event tree conductor vs reference conductor: the
 				// whole recorded interleaving must match.
 				if pk, sk := p.hist.Key(), s.hist.Key(); pk != sk {

@@ -122,14 +122,14 @@ func diffBatchTraces(t *testing.T, got, want batchTrace, gotName, wantName strin
 // random bodies that follow the slack protocol must be observably
 // indistinguishable — interaction order, fenced reads, per-thread step
 // streams, final clocks and makespan — between the batched tree conductor
-// and the reference linear-scan conductor (under which TickHinted and
-// LocalTick degrade to Tick and Fence to a no-op).
+// and the reference conductor, RunChoose with DefaultChooser (under which
+// TickHinted and LocalTick degrade to Tick and Fence to a no-op).
 func TestBatchedRunMatchesSlow(t *testing.T) {
 	for _, threads := range treeShapes {
 		for seed := uint64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("t%d/s%d", threads, seed), func(t *testing.T) {
 				fast := runBatchBody(threads, seed, (*Sim).Run)
-				slow := runBatchBody(threads, seed, (*Sim).Slow)
+				slow := runBatchBody(threads, seed, runChooseDefault)
 				diffBatchTraces(t, fast, slow, "batched", "slow")
 			})
 		}

@@ -18,9 +18,10 @@ type Chooser interface {
 
 // DefaultChooser is the production scheduling policy as a Chooser:
 // lowest cycle count first, ties broken by lowest thread ID. It is the
-// same total order Run's winner tree and Slow's linear scan implement, so
-// RunChoose(body, DefaultChooser{}) reproduces their schedule exactly
-// (pinned byte-identical by TestChooseMatchesRunAndSlow).
+// same total order Run's winner tree implements, so RunChoose(body,
+// DefaultChooser{}) reproduces Run's schedule exactly (pinned
+// byte-identical by TestChooseMatchesRunAndSlow) and is the reference
+// conductor every differential oracle compares Run against.
 type DefaultChooser struct{}
 
 // Choose returns the index of the (cycles, id)-minimal runnable thread.
@@ -36,8 +37,8 @@ func (DefaultChooser) Choose(runnable []*Thread) int {
 	return best
 }
 
-// RunChoose executes body(thread) on every logical thread like Run and
-// Slow, but delegates every scheduling decision to c. It uses the
+// RunChoose executes body(thread) on every logical thread like Run, but
+// delegates every scheduling decision to c. It uses the
 // reference conductor shape — a coroutine handoff on every Tick, no
 // inline fast path — so the chooser sees every yield point: the decision
 // points presented to c are exactly the charged Tick/Stall yields plus
@@ -68,6 +69,7 @@ func (s *Sim) RunChoose(body func(*Thread), c Chooser) {
 			panic(fmt.Sprintf("sched: chooser pick %d out of range [0,%d)", pick, len(runnable)))
 		}
 		next := runnable[pick]
+		s.stats.CoroutineSwitches++
 		if _, ok := next.resume(); !ok {
 			next.done = true
 			live--

@@ -5,16 +5,17 @@ import (
 	"testing"
 )
 
-// runChooseDefault adapts RunChoose(DefaultChooser) to runTraced's run
-// signature.
+// runChooseDefault adapts RunChoose(DefaultChooser) — the reference
+// conductor the differential oracles compare Run against ("slow" in their
+// names) — to the func(*Sim, func(*Thread)) shape of (*Sim).Run.
 func runChooseDefault(s *Sim, body func(*Thread)) {
 	s.RunChoose(body, DefaultChooser{})
 }
 
 // TestChooseMatchesRunAndSlow pins the Chooser hook's default policy to
-// the production conductors: RunChoose(DefaultChooser) must reproduce
-// both Run's and Slow's schedules byte-identically, across random tick
-// patterns and the stall/wake workload. This is the contract that lets
+// the production conductor: RunChoose(DefaultChooser), the reference
+// conductor, must reproduce Run's schedule byte-identically, across
+// random tick patterns and the stall/wake workload. This is the contract that lets
 // the model checker treat the decision tree it explores as the tree the
 // real conductor walks one path of.
 func TestChooseMatchesRunAndSlow(t *testing.T) {
@@ -29,9 +30,7 @@ func TestChooseMatchesRunAndSlow(t *testing.T) {
 				}
 				chose := runTraced(threads, seed, runChooseDefault, body)
 				fast := runTraced(threads, seed, (*Sim).Run, body)
-				slow := runTraced(threads, seed, (*Sim).Slow, body)
 				diffTraces(t, chose, fast)
-				diffTraces(t, chose, slow)
 			})
 		}
 	}

@@ -16,7 +16,8 @@ type trace struct {
 }
 
 // runTraced executes body-shaped work under run (either (*Sim).Run or
-// (*Sim).Slow) and returns the full observable schedule.
+// the reference conductor, runChooseDefault) and returns the full
+// observable schedule.
 func runTraced(threads int, seed uint64, run func(*Sim, func(*Thread)), body func(*Thread, func())) trace {
 	s := New(threads, seed)
 	var tr trace
@@ -57,7 +58,8 @@ var treeShapes = []int{1, 2, 3, 4, 5, 8, 16, 31, 32, 33, 64, 65}
 
 // TestRunMatchesSlowRandomTicks is the tree conductor's differential
 // oracle: across thread counts and seeds, random tick patterns must
-// produce the exact schedule of the reference linear-scan conductor.
+// produce the exact schedule of the reference conductor (RunChoose with
+// DefaultChooser).
 func TestRunMatchesSlowRandomTicks(t *testing.T) {
 	for _, threads := range treeShapes {
 		for seed := uint64(1); seed <= 5; seed++ {
@@ -71,7 +73,7 @@ func TestRunMatchesSlowRandomTicks(t *testing.T) {
 					}
 				}
 				fast := runTraced(threads, seed, (*Sim).Run, body)
-				slow := runTraced(threads, seed, (*Sim).Slow, body)
+				slow := runTraced(threads, seed, runChooseDefault, body)
 				diffTraces(t, fast, slow)
 			})
 		}
@@ -112,7 +114,7 @@ func TestRunMatchesSlowStallWake(t *testing.T) {
 					}
 				}
 				fast := runTraced(threads, seed, (*Sim).Run, mk())
-				slow := runTraced(threads, seed, (*Sim).Slow, mk())
+				slow := runTraced(threads, seed, runChooseDefault, mk())
 				diffTraces(t, fast, slow)
 			})
 		}
@@ -158,7 +160,7 @@ func TestRunMatchesSlowWakeLowersBound(t *testing.T) {
 					}
 				}
 				fast := runTraced(threads, seed, (*Sim).Run, mk())
-				slow := runTraced(threads, seed, (*Sim).Slow, mk())
+				slow := runTraced(threads, seed, runChooseDefault, mk())
 				diffTraces(t, fast, slow)
 				if lowered == 0 {
 					t.Fatal("no WakeAll lowered the waker's inline bound")
@@ -171,9 +173,9 @@ func TestRunMatchesSlowWakeLowersBound(t *testing.T) {
 // TestRunMatchesSlowFarCycles pins exact ordering far above any figure's
 // cycle counts: threads park at 1<<62 (where the engine benchmarks park
 // their bystanders), at 1<<63 and near math.MaxUint64, in ties broken by
-// ID, and keep charging small amounts from there. Beyond matching Slow,
-// the schedule must visit keys in nondecreasing (cycles, id) order, as
-// lowest-first scheduling does.
+// ID, and keep charging small amounts from there. Beyond matching the
+// reference, the schedule must visit keys in nondecreasing (cycles, id)
+// order, as lowest-first scheduling does.
 func TestRunMatchesSlowFarCycles(t *testing.T) {
 	parks := []uint64{1 << 62, 1 << 62, 1<<62 + 1, 1 << 63, math.MaxUint64 - 64}
 	// A step is {cycles, id}; slices.Compare orders steps exactly as the
@@ -191,7 +193,7 @@ func TestRunMatchesSlowFarCycles(t *testing.T) {
 	}
 	for _, threads := range []int{2, 3, 5, 8} {
 		t.Run(fmt.Sprintf("t%d", threads), func(t *testing.T) {
-			fast, slow := run(threads, (*Sim).Run), run(threads, (*Sim).Slow)
+			fast, slow := run(threads, (*Sim).Run), run(threads, runChooseDefault)
 			if !slices.Equal(fast, slow) {
 				t.Fatalf("schedules diverge:\nfast %v\nslow %v", fast, slow)
 			}
@@ -223,7 +225,7 @@ func TestRunMatchesSlowBarrier(t *testing.T) {
 			fastBody, _ := mk()
 			fast := runTraced(threads, seed, (*Sim).Run, fastBody)
 			slowBody, _ := mk()
-			slow := runTraced(threads, seed, (*Sim).Slow, slowBody)
+			slow := runTraced(threads, seed, runChooseDefault, slowBody)
 			diffTraces(t, fast, slow)
 		})
 	}
@@ -323,13 +325,13 @@ func benchmarkTick(b *testing.B) {
 func BenchmarkTick(b *testing.B) { benchmarkTick(b) }
 
 // BenchmarkTickSlow is the reference conductor's cost for the same
-// workload: a coroutine resume (two runtime switches) plus a linear scan
-// per charge.
+// workload: a coroutine resume (two runtime switches) plus a scan of the
+// runnable threads per charge.
 func BenchmarkTickSlow(b *testing.B) {
 	s := New(2, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	s.Slow(func(th *Thread) {
+	runChooseDefault(s, func(th *Thread) {
 		if th.ID() == 0 {
 			for i := 0; i < b.N; i++ {
 				th.Tick(1)

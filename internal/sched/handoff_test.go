@@ -167,7 +167,7 @@ func TestDeadlockAtBodyExit(t *testing.T) {
 			}
 			th.Stall()
 		}
-		for name, run := range map[string]func(*Sim, func(*Thread)){"run": (*Sim).Run, "slow": (*Sim).Slow} {
+		for name, run := range map[string]func(*Sim, func(*Thread)){"run": (*Sim).Run, "slow": runChooseDefault} {
 			r := panicOf(func() { run(New(3, 1), body) })
 			if r != want {
 				t.Errorf("exit=%v: %s panicked with %v, want %q", exit, name, r, want)
@@ -179,7 +179,7 @@ func TestDeadlockAtBodyExit(t *testing.T) {
 // TestRunMatchesSlowStaggeredExits runs bodies of pseudo-random lengths,
 // so threads return at scattered points and a body's own coroutine is
 // often held by a goroutine other than the next root, which must then
-// forward control. The schedule must still be Slow's, and the
+// forward control. The schedule must still be the reference's, and the
 // forwarding path must actually be taken.
 func TestRunMatchesSlowStaggeredExits(t *testing.T) {
 	body := func(th *Thread, step func()) {
@@ -197,7 +197,7 @@ func TestRunMatchesSlowStaggeredExits(t *testing.T) {
 				forwards += s.forwards
 			}
 			for seed := uint64(1); seed <= 3; seed++ {
-				diffTraces(t, runTraced(threads, seed, run, body), runTraced(threads, seed, (*Sim).Slow, body))
+				diffTraces(t, runTraced(threads, seed, run, body), runTraced(threads, seed, runChooseDefault, body))
 			}
 			if threads > 1 && forwards == 0 {
 				t.Fatal("no body exit was forwarded")

@@ -3,7 +3,7 @@
 // It stands in for the ZSim cycle-accurate simulator used by the SI-TM paper
 // (Litz et al., ASPLOS 2014). The simulator models N logical hardware
 // threads, each with a monotonically increasing cycle counter. The
-// conductor — the resume loop of Slow or RunChoose, or under Run the
+// conductor — the resume loop of RunChoose, or under Run the
 // handing-off thread itself — always resumes the runnable thread with the
 // lowest cycle count (ties broken by thread ID), so operation streams
 // from different threads interleave in simulated time exactly as they
@@ -17,7 +17,7 @@
 // switch establishes the happens-before edges, so shared engine state
 // needs no additional locking and the race detector stays quiet. Under
 // Run every thread is its own conductor and switches straight into the
-// next thread; under Slow and RunChoose the thread switches back to the
+// next thread; under RunChoose the thread switches back to the
 // conductor's loop, which switches into the next.
 //
 // Run keeps the threads in a winner tree keyed on (cycles, id) and lets
@@ -25,8 +25,9 @@
 // thread is still ordered before every other runnable thread (their
 // counters are frozen while parked, so the minimum over the other leaves
 // is a sound bound). The interleaving is provably the one the per-Tick
-// conductor would have chosen; Slow retains that original conductor as a
-// differential oracle.
+// conductor would have chosen. RunChoose with DefaultChooser retains that
+// original conductor — a coroutine handoff on every charge and a scan of
+// the runnable threads per yield — as the differential oracle.
 package sched
 
 import (
@@ -60,8 +61,8 @@ type Thread struct {
 	slack uint64
 
 	// yield and resume are the two ends of the thread's iter.Pull
-	// coroutine, rebuilt by start for every Run/Slow invocation. Under
-	// Slow and RunChoose the thread yields to the conductor's resume
+	// coroutine, rebuilt by start for every Run/RunChoose invocation.
+	// Under RunChoose the thread yields to the conductor's resume
 	// call. Under Run the coroutine is one of the slots of Sim.in:
 	// resumed marks that the goroutine parked in it entered through
 	// resume, so it is woken through yield, and otherwise through resume.
@@ -141,8 +142,8 @@ func (t *Thread) Tick(c uint64) {
 // Under the tree conductor it is a pure counter charge — no bound check,
 // no yield — because a charge with no attached effects commutes with
 // every other thread's events: delaying the handoff cannot change what
-// any thread observes. Under the reference conductors (Slow, RunChoose)
-// and in per-event mode it behaves exactly like Tick, so the differential
+// any thread observes. Under the reference conductor (RunChoose) and in
+// per-event mode it behaves exactly like Tick, so the differential
 // oracles and the model checker see an unchanged per-event machine.
 //
 // The caller must not touch simulated shared state between a LocalTick
@@ -235,12 +236,6 @@ func (t *Thread) Interact() {
 	}
 }
 
-// before reports whether t runs before u in the lowest-cycle-first,
-// ties-by-ID order.
-func (t *Thread) before(u *Thread) bool {
-	return t.cycles < u.cycles || (t.cycles == u.cycles && t.id < u.id)
-}
-
 // WakeAll unparks every stalled thread of the machine, advancing their
 // clocks to this thread's clock (see Sim.WakeAll).
 func (t *Thread) WakeAll() { t.sim.WakeAll(t) }
@@ -286,8 +281,7 @@ type Sim struct {
 
 	// cur is the running thread's ID under Run and limit its inline
 	// bound: the first cycle count at which it no longer leads (see
-	// leads). limit is zero outside Run, so Slow and RunChoose see every
-	// charge. horizonMin caches the running thread's horizon while
+	// leads). limit is zero outside Run, so RunChoose sees every charge. horizonMin caches the running thread's horizon while
 	// horizonOK; bind and WakeAll clear it.
 	cur        int
 	limit      uint64
@@ -323,15 +317,15 @@ type Sim struct {
 	failure  any
 }
 
-// Stats counts conductor work for one Run/Slow invocation; reset at the
+// Stats counts conductor work for one Run/RunChoose invocation; reset at the
 // start of each. It quantifies the coroutine-switch tax the horizon
 // batching attacks (surfaced as the sched_stats section of
 // sitm-bench -json).
 type Stats struct {
 	// CoroutineSwitches is the number of thread resumes the conductor
 	// performed. Under Run a resume is one Go-runtime coroutine switch,
-	// straight from the suspending thread into the next; under Slow it is
-	// two, into the thread and back to the conductor.
+	// straight from the suspending thread into the next; under RunChoose
+	// it is two, into the thread and back to the conductor.
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
 	// InlineTicks counts charges that returned inline while the thread
 	// still led every other runnable thread (the PR 3 fast path).
@@ -352,7 +346,8 @@ func (s *Stats) Add(other Stats) {
 	s.LocalTicks += other.LocalTicks
 }
 
-// Stats returns the conductor counters of the last Run/Slow invocation.
+// Stats returns the conductor counters of the last Run/RunChoose
+// invocation.
 func (s *Sim) Stats() Stats { return s.stats }
 
 // SetPerEvent toggles per-event mode: with on, the tree conductor runs
@@ -640,46 +635,4 @@ func (s *Sim) fail(me int, p any) {
 	s.cur = s.caller()
 	s.wake(me, s.cur)
 	panic("sched: failed thread resumed")
-}
-
-// Slow executes body exactly like Run but with the reference conductor: a
-// coroutine handoff on every Tick and a linear min-scan over the runnable
-// list per yield. It is retained as the differential oracle for Run — the
-// two must produce identical interleavings, cycle counters and makespans
-// for any body — and as the readable specification of the scheduling
-// order.
-func (s *Sim) Slow(body func(*Thread)) {
-	live := s.start(body)
-	runnable := make([]*Thread, len(s.threads))
-	copy(runnable, s.threads)
-	for live > 0 {
-		// Pick the runnable (not stalled, not done) thread with the
-		// lowest cycle count; ties break by ID for determinism.
-		var next *Thread
-		for _, t := range runnable {
-			if t.done || t.stalled {
-				continue
-			}
-			if next == nil || t.before(next) {
-				next = t
-			}
-		}
-		if next == nil {
-			panic("sched: deadlock — all live threads stalled")
-		}
-		s.stats.CoroutineSwitches++
-		if _, ok := next.resume(); !ok {
-			next.done = true
-			live--
-			// Compact the runnable list; the in-place filter preserves
-			// the existing ID order, so no re-sort is needed.
-			n := runnable[:0]
-			for _, t := range runnable {
-				if !t.done {
-					n = append(n, t)
-				}
-			}
-			runnable = n
-		}
-	}
 }

@@ -28,9 +28,15 @@ type cacheStatser interface {
 	CacheStats() cache.Stats
 }
 
+// refSched runs body under the reference conductor: RunChoose with the
+// production scheduling policy, a coroutine handoff on every charge.
+func refSched(s *sched.Sim, body func(*sched.Thread)) {
+	s.RunChoose(body, sched.DefaultChooser{})
+}
+
 // runEngineWorkload drives a mixed workload (contended counters plus bank
 // transfers) on a fresh engine under the given conductor — the inline
-// fast-path scheduler (*Sim).Run or the reference (*Sim).Slow.
+// fast-path scheduler (*Sim).Run or the reference conductor, refSched.
 func runEngineWorkload(t *testing.T, name string, opts tm.EngineOptions, threads int, seed uint64, run func(*sched.Sim, func(*sched.Thread))) schedResult {
 	t.Helper()
 	e, err := tm.NewEngine(name, opts)
@@ -78,7 +84,7 @@ func runEngineWorkload(t *testing.T, name string, opts tm.EngineOptions, threads
 
 // TestSchedulerDifferential pins the PR's core invariant end to end: for
 // every registered engine, across thread counts and seeds, the inline
-// fast-path conductor and the reference linear-scan conductor produce
+// fast-path conductor and the reference conductor (refSched) produce
 // bit-identical engine statistics, makespans and final memory state. Any
 // divergence here means the Tick fast path changed the schedule, which
 // would silently shift every figure in the evaluation.
@@ -88,7 +94,7 @@ func TestSchedulerDifferential(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/t%d/s%d", name, threads, seed), func(t *testing.T) {
 					fast := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, (*sched.Sim).Run)
-					slow := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, (*sched.Sim).Slow)
+					slow := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, refSched)
 					if fast != slow {
 						t.Errorf("fast conductor %+v\nslow conductor %+v", fast, slow)
 					}
