@@ -144,7 +144,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 		os.Exit(2)
 	}
-	for _, err := range []error{checkThreads(*threads), checkScale(*scale), checkWorkers(*workers), checkJSON(*jsonPath), checkCSV(*csvDir)} {
+	for _, err := range []error{checkFigTable(), checkThreads(*threads), checkScale(*scale), checkWorkers(*workers), checkJSON(*jsonPath), checkCSV(*csvDir)} {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
 			os.Exit(2)
@@ -161,6 +161,27 @@ func main() {
 			// Canonical form, so "kv" and "KV@0.99" address the same cells.
 			o.Only = append(o.Only, f().Name())
 		}
+	}
+	var names []string
+	for _, s := range []struct {
+		name string
+		on   bool
+	}{
+		{"table1", *all || *table == 1},
+		{"figure1", *all || *fig == 1},
+		{"figure7", *all || *fig == 7},
+		{"figure8", *all || *fig == 8},
+		{"table2", *all || *table == 2},
+		{"mvm", *all || *mvmStats},
+		{"figure-oltp", *oltp},
+	} {
+		if s.on {
+			names = append(names, s.name)
+		}
+	}
+	if err := checkWorkloadCells(names, *workload, *threads, o); err != nil {
+		fmt.Fprintf(os.Stderr, "sitm-bench: %v\n", err)
+		os.Exit(2)
 	}
 	if *cacheDir != "" {
 		c, err := exp.OpenCache(*cacheDir)
@@ -185,23 +206,6 @@ func main() {
 		o.CellDone = bench.cellDone
 	}
 
-	var names []string
-	for _, s := range []struct {
-		name string
-		on   bool
-	}{
-		{"table1", *all || *table == 1},
-		{"figure1", *all || *fig == 1},
-		{"figure7", *all || *fig == 7},
-		{"figure8", *all || *fig == 8},
-		{"table2", *all || *table == 2},
-		{"mvm", *all || *mvmStats},
-		{"figure-oltp", *oltp},
-	} {
-		if s.on {
-			names = append(names, s.name)
-		}
-	}
 	ran := len(names) > 0
 	start := time.Now()
 	secs, err := harness.RenderSections(names, *threads, o)
@@ -274,6 +278,56 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// checkFigTable rejects a -fig or -table value that names no figure or
+// table. An unset flag keeps its zero default, which requests nothing.
+func checkFigTable() error {
+	var err error
+	flag.Visit(func(f *flag.Flag) {
+		v := f.Value.String()
+		switch {
+		case err != nil:
+		case f.Name == "fig" && v != "1" && v != "7" && v != "8":
+			err = fmt.Errorf("bad -fig %s: figure must be 1, 7 or 8", v)
+		case f.Name == "table" && v != "1" && v != "2":
+			err = fmt.Errorf("bad -table %s: table must be 1 or 2", v)
+		}
+	})
+	return err
+}
+
+// checkWorkloadCells rejects a -workload list that leaves every requested
+// section that simulates cells with none to simulate, which would print
+// empty sections and exit 0.
+func checkWorkloadCells(names []string, workload string, threads int, o harness.Options) error {
+	if len(o.Only) == 0 {
+		return nil
+	}
+	all := o
+	all.Only = nil
+	var swept []string
+	for _, name := range names {
+		full, err := harness.PlanFigure(name, threads, all)
+		if err != nil {
+			return err
+		}
+		if len(full.Plan) == 0 {
+			continue // static section: no cells with any workloads
+		}
+		fp, err := harness.PlanFigure(name, threads, o)
+		if err != nil {
+			return err
+		}
+		if len(fp.Plan) > 0 {
+			return nil
+		}
+		swept = append(swept, name)
+	}
+	if len(swept) == 0 {
+		return nil
+	}
+	return fmt.Errorf("bad -workload %s: no cells in %s", workload, strings.Join(swept, ", "))
 }
 
 // checkThreads rejects a -threads value the simulator cannot run.

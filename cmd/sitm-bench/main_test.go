@@ -46,10 +46,38 @@ func TestBadOutputsExitTwo(t *testing.T) {
 	}
 }
 
+// TestBadSectionsExitTwo checks that a -fig or -table naming no section
+// is rejected, also beside a valid section (it used to be dropped
+// silently, or to print only the usage text when alone), and that a
+// -workload list leaving every requested section without cells is
+// rejected instead of printing empty sections.
+func TestBadSectionsExitTwo(t *testing.T) {
+	for _, c := range [][2]string{
+		{"-fig", "9"}, {"-fig", "0"}, {"-table", "3"}, {"-workload", "kv"}, {"-workload", "kv@0.99,ledger"},
+	} {
+		checkExitsTwo(t, c[0], c[1])
+	}
+	for _, c := range [][3]string{
+		{"-seeds 1", "-fig", "9"},
+		{"-table 1", "-fig", "9"},
+		{"-fig 7 -seeds 1", "-workload", "kv"},
+		{"-oltp -seeds 1", "-workload", "List"},
+		{"-fig 1 -oltp -seeds 1", "-workload", "Array"},
+	} {
+		checkExitsTwoAfter(t, c[0], c[1], c[2])
+	}
+}
+
 // checkExitsTwo re-executes the test binary as sitm-bench with flag set
 // to value on a small table-2 run and requires exit status 2, a one-line
 // message naming the flag and value, and no output.
 func checkExitsTwo(t *testing.T, flag, value string) {
+	t.Helper()
+	checkExitsTwoAfter(t, "-table 2 -seeds 1", flag, value)
+}
+
+// checkExitsTwoAfter is checkExitsTwo with the other arguments in base.
+func checkExitsTwoAfter(t *testing.T, base, flag, value string) {
 	t.Helper()
 	if args := os.Getenv("SITM_BENCH_TEST_ARGS"); args != "" {
 		os.Args = append([]string{"sitm-bench"}, strings.Fields(args)...)
@@ -57,13 +85,13 @@ func checkExitsTwo(t *testing.T, flag, value string) {
 		os.Exit(0)
 	}
 	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
-	cmd.Env = append(os.Environ(), "SITM_BENCH_TEST_ARGS=-table 2 -seeds 1 "+flag+" "+value)
+	cmd.Env = append(os.Environ(), "SITM_BENCH_TEST_ARGS="+base+" "+flag+" "+value)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("%s %s: got %v, want exit status 2; stderr:\n%s", flag, value, err, stderr.String())
+		t.Fatalf("%s %s %s: got %v, want exit status 2; stderr:\n%s", base, flag, value, err, stderr.String())
 	}
 	msg := stderr.String()
 	if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, flag+" "+value) {

@@ -1,6 +1,9 @@
 // Package aset provides the access-set structures the TM engines track
 // transactions with: open-addressing line tables fronted by one-word
-// Bloom signatures, and epoch-stamped per-line reader lists. Real HTMs
+// Bloom signatures, per-line reader bitmaps over transaction slots
+// (ReadHolds, which 2PL and SONTM keep their read holds in), and
+// epoch-stamped per-line reader lists (Readers, which now serves only
+// SSI-TM, whose reader records must outlive the transaction). Real HTMs
 // track read/write sets with fixed hardware structures — signatures and
 // limited set tables — rather than software hash maps; these types are
 // the software rendering of that design, replacing the Go maps that

@@ -12,7 +12,7 @@ type Entry[T any] struct {
 }
 
 // Readers is a per-line list of epoch-stamped reader records, the
-// replacement for the engines' map[*txn]struct{} visible-reader sets.
+// replacement for SSI-TM's map[*txn]struct{} visible-reader sets.
 // Records are appended on first read and removed by swap-remove when a
 // scan finds them stale, so registering and deregistering readers never
 // allocates in steady state (the backing array is retained). The zero
@@ -50,7 +50,7 @@ func (r *Readers[T]) Compact(live func(T, uint64) bool) {
 }
 
 // CompactAdd compacts the list and appends a record for tx. The caller
-// guarantees tx is not already live in the list (engines dedup with a
+// guarantees tx is not already live in the list (SSI-TM dedups with a
 // per-transaction LineSet before registering); a stale record for the
 // same object is removed by the compaction.
 func (r *Readers[T]) CompactAdd(tx T, epoch uint64, live func(T, uint64) bool) {

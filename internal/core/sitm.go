@@ -103,12 +103,13 @@ type Engine struct {
 	promoted map[string]bool
 	txnSeq   uint64
 
-	// lastTxn recycles each thread's most recent transaction object.
-	// Under Serializable, a committed transaction is recyclable only
-	// once no active transaction overlaps it (its SIREAD-style read
-	// records are then dead); recycling bumps the object's epoch, which
-	// invalidates any remaining reader records at once.
-	lastTxn map[int]*txn
+	// lastTxn recycles each thread's most recent transaction object,
+	// indexed by thread ID. Under Serializable, a committed transaction
+	// is recyclable only once no active transaction overlaps it (its
+	// SIREAD-style read records are then dead); recycling bumps the
+	// object's epoch, which invalidates any remaining reader records at
+	// once.
+	lastTxn []*txn
 
 	// readers tracks, per line, the epoch-stamped visible-reader records
 	// of SSI-TM transactions (visible readers exist only under
@@ -159,7 +160,6 @@ func New(cfg Config) *Engine {
 		mem:       mvm.New(cfg.MVM, clk, active),
 		shared:    cache.NewShared(cfg.Cache),
 		promoted:  make(map[string]bool),
-		lastTxn:   make(map[int]*txn),
 		presence:  cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
 		xpresence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
 	}
@@ -255,9 +255,10 @@ func (e *Engine) ReleaseCaches() {
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: every recycled transaction object holds empty
 // sets, and every reader list compacts to nothing once no transaction is
-// active. tmtest calls it after each conformance cell. The reference
-// (map-based) path keeps the pre-aset engine's own lifecycle — maps are
-// cleared at Begin, readers pruned periodically — so it is not audited.
+// active. It reports the lowest offending thread. tmtest calls it after
+// each conformance cell. The reference (map-based) path keeps the
+// pre-aset engine's own lifecycle — maps are cleared at Begin, readers
+// pruned periodically — so it is not audited.
 func (e *Engine) AuditAccessSets() error {
 	if e.cfg.ReferenceSets {
 		return nil
@@ -386,7 +387,11 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	}
 	e.txnSeq++
 	var tx *txn
-	if old := e.lastTxn[t.ID()]; old != nil && old.finished && e.canRecycle(old) {
+	id := t.ID()
+	for id >= len(e.lastTxn) {
+		e.lastTxn = append(e.lastTxn, nil)
+	}
+	if old := e.lastTxn[id]; old != nil && old.finished && e.canRecycle(old) {
 		// The object's sets were Reset when it finished, keeping their
 		// grown capacity; bumping the epoch retires any reader records
 		// the previous incarnation left behind. The thread object can
@@ -409,10 +414,10 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 			h:       e.hierarchy(t),
 			id:      e.txnSeq,
 			start:   e.clk.Begin(),
-			selfBit: cache.CoreBit(t.ID()),
+			selfBit: cache.CoreBit(id),
 			epoch:   1,
 		}
-		e.lastTxn[t.ID()] = tx
+		e.lastTxn[id] = tx
 	}
 	e.active.Register(tx.start)
 	if e.tracer != nil {

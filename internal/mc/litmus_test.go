@@ -1,8 +1,14 @@
 package mc
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	_ "repro/internal/core"
@@ -33,8 +39,21 @@ func exhaustivePrograms(t *testing.T) []Program {
 // opaque; serializable engines admit no committed-transaction anomaly
 // (zombie reads of aborted eager-2PL attempts are tolerated and surfaced
 // in the fingerprint, never hidden).
+//
+// Each (program, engine) pair's history set and exploration statistics
+// are also pinned against historyDigestsPath, so a change that only
+// claims to speed an engine up must leave its whole schedule space
+// untouched, not just its verdict.
 func TestEngineMatrix(t *testing.T) {
 	progs := exhaustivePrograms(t)
+	golden := loadHistoryDigests(t)
+	var mu sync.Mutex
+	got := make(map[string]historyDigest)
+	t.Cleanup(func() {
+		if *update && !t.Failed() {
+			writeHistoryDigests(t, got)
+		}
+	})
 	for _, engine := range tm.Engines() {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
@@ -51,6 +70,15 @@ func TestEngineMatrix(t *testing.T) {
 				if !r.Explored.Exhausted {
 					t.Fatalf("%s: exploration not exhausted after %d schedules",
 						prog.Name, r.Explored.Schedules)
+				}
+				key := prog.Name + "/" + engine
+				d := digestOf(r)
+				mu.Lock()
+				got[key] = d
+				mu.Unlock()
+				if want, ok := golden[key]; !*update && (!ok || want != d) {
+					t.Errorf("%s: history digest %+v, golden %+v (rerun with -update if the change is deliberate)",
+						key, d, want)
 				}
 				if v := r.Violations(fam); len(v) != 0 {
 					t.Errorf("%s (%s): violations:\n  %s",
@@ -76,6 +104,66 @@ func TestEngineMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// update regenerates historyDigestsPath instead of checking it:
+// go test ./internal/mc -run EngineMatrix -update.
+var update = flag.Bool("update", false, "rewrite "+historyDigestsPath+" from the current explorations")
+
+// historyDigestsPath holds one historyDigest per (program, engine) pair
+// of TestEngineMatrix. Its diff is the record of every deliberate change
+// to an engine's schedule space.
+const historyDigestsPath = "testdata/history_digests.json"
+
+// historyDigest fingerprints one exhaustive exploration: the SHA-256 of
+// its sorted distinct history keys, their number, and the explorer's
+// statistics.
+type historyDigest struct {
+	HistorySHA256 string `json:"history_sha256"`
+	Histories     int    `json:"histories"`
+	Schedules     int    `json:"schedules"`
+	Decisions     int64  `json:"decisions"`
+	MaxDepth      int    `json:"max_depth"`
+	Exhausted     bool   `json:"exhausted"`
+}
+
+func digestOf(r *Result) historyDigest {
+	keys := r.HistoryKeys()
+	return historyDigest{
+		HistorySHA256: fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(keys, "\n")))),
+		Histories:     len(keys),
+		Schedules:     r.Explored.Schedules,
+		Decisions:     r.Explored.Decisions,
+		MaxDepth:      r.Explored.MaxDepth,
+		Exhausted:     r.Explored.Exhausted,
+	}
+}
+
+func loadHistoryDigests(t *testing.T) map[string]historyDigest {
+	t.Helper()
+	want := make(map[string]historyDigest)
+	if *update {
+		return want
+	}
+	data, err := os.ReadFile(historyDigestsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", historyDigestsPath, err)
+	}
+	return want
+}
+
+func writeHistoryDigests(t *testing.T, got map[string]historyDigest) {
+	t.Helper()
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(historyDigestsPath, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,12 +10,12 @@ import (
 
 // The per-transaction hot paths — Read, Write and Commit — run once per
 // simulated access and once per transaction across every figure sweep, so
-// they must be allocation-free in steady state: the read set and write
-// log are aset tables that Reset in O(touched) and transaction objects
-// recycle per thread. "hit" is the repeat-access fast path; "conflict"
-// keeps a concurrent transaction's read set covering the benchmark's
-// lines, so every commit broadcast probes it (the signature-AND miss path
-// the aset tables exist for) and clamps its SON interval.
+// they must be allocation-free in steady state: reader bits live in
+// paged per-line bitmaps, the read lines and write log keep their
+// capacity when cleanup clears them, and transaction objects recycle per
+// thread. "hit" is the repeat-access fast path; "conflict" keeps a
+// concurrent transaction reading the benchmark's lines, so every commit
+// broadcast finds its reader bit set and clamps its SON interval.
 // TestTxnHotPathsAllocFree asserts 0 allocs/op for all of them; the CI
 // bench smoke and sitm-bench -json report them.
 

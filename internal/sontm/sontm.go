@@ -15,10 +15,13 @@
 // serialize after it (lower bound raises). A transaction whose interval
 // empties can no longer be ordered and aborts.
 //
-// Access tracking uses the signature-backed tables of internal/aset: the
-// commit broadcast probes other transactions' read/write sets with a
-// one-word signature AND in the common miss case, mirroring the hardware
-// signatures SONTM itself assumes. The pre-aset map-based engine is kept
+// Access tracking follows the hardware SONTM assumes. Reads are per-line
+// bitmaps over transaction slots (aset.ReadHolds): each live transaction
+// owns a slot, a read sets its bit, and the commit broadcast tests a
+// concurrent transaction's bit on each written line. A finishing
+// transaction clears its bits by walking its read lines. The write set is
+// an aset.WriteLog, which the broadcast probes with a one-word signature
+// AND in the common miss case. The pre-aset map-based engine is kept
 // verbatim in slow.go as a differential oracle behind
 // Config.ReferenceSets.
 package sontm
@@ -108,6 +111,10 @@ type Engine struct {
 	// models.
 	readNums mem.Paged[uint64]
 
+	// readers holds each line's in-flight readers as a bitmap over the
+	// transactions' slots.
+	readers aset.ReadHolds[*txn]
+
 	// active lists the in-flight transactions. A slice, not a set: the
 	// commit broadcast walks it once per written line, and every
 	// broadcast effect (interval raises/clamps, doom flags) is
@@ -115,11 +122,11 @@ type Engine struct {
 	active []*txn
 	txnSeq uint64
 
-	// lastTxn recycles each thread's most recent transaction object;
-	// cleanup removes a finished transaction from active and resets its
-	// sets, so the object and its grown tables can be reused without
-	// rehash churn.
-	lastTxn map[int]*txn
+	// lastTxn recycles each thread's most recent transaction object,
+	// indexed by thread ID; cleanup removes a finished transaction from
+	// active and resets its sets, so the object and its grown tables can
+	// be reused without rehash churn.
+	lastTxn []*txn
 
 	// Reference map-based implementation state (slow.go), used only when
 	// cfg.ReferenceSets.
@@ -134,7 +141,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		shared:   cache.NewShared(cfg.Cache),
-		lastTxn:  make(map[int]*txn),
 		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
 	}
 	if cfg.ReferenceSets {
@@ -144,6 +150,7 @@ func New(cfg Config) *Engine {
 		e.words.SetReference()
 		e.writeNums.SetReference()
 		e.readNums.SetReference()
+		e.readers.SetReference()
 	}
 	return e
 }
@@ -218,8 +225,10 @@ func (e *Engine) CacheStats() cache.Stats {
 }
 
 // AuditAccessSets verifies that no live access-set state survives outside
-// a running transaction: the active list is empty and every recycled
-// transaction object holds empty sets. tmtest calls it after each
+// a running transaction: the active list is empty, every recycled
+// transaction object holds empty sets, no line holds a reader bit and
+// every slot is free. It reports the lowest offending thread or line.
+// tmtest calls it after each
 // conformance cell. The reference (map-based) path keeps the pre-aset
 // engine's own lifecycle — maps are cleared at Begin — so it is not
 // audited.
@@ -237,12 +246,15 @@ func (e *Engine) AuditAccessSets() error {
 		if !tx.finished {
 			return fmt.Errorf("sontm: thread %d transaction unfinished", id)
 		}
-		if n := tx.readSet.Len(); n != 0 {
-			return fmt.Errorf("sontm: thread %d leaked %d read-set lines", id, n)
+		if n := len(tx.readLines); n != 0 {
+			return fmt.Errorf("sontm: thread %d leaked %d read lines", id, n)
 		}
 		if n := tx.writes.Len(); n != 0 {
 			return fmt.Errorf("sontm: thread %d leaked %d write-set lines", id, n)
 		}
+	}
+	if err := e.readers.Audit(); err != nil {
+		return fmt.Errorf("sontm: %v after quiescence", err)
 	}
 	return nil
 }
@@ -260,11 +272,17 @@ type txn struct {
 
 	lo, hi uint64 // SON interval, inclusive
 
-	readSet aset.LineSet
-	// lastRead memoises the line of the previous Read: the readSet
-	// insert is idempotent and entries are never removed mid-transaction
-	// (commit broadcasts only probe membership), so a repeat read of the
-	// same line skips the set probe.
+	// slot is this transaction's bit in every line's reader bitmap,
+	// owned from Begin until cleanup.
+	slot int
+	// readLines lists the lines this transaction has read, each once, in
+	// first-read order: commit records them in readNums and cleanup
+	// clears its bit on them.
+	readLines []mem.Line
+	// lastRead memoises the line of the previous Read: setting the
+	// reader bit is idempotent and never revoked mid-transaction (commit
+	// broadcasts only test it), so a repeat read of the same line skips
+	// the bitmap.
 	lastRead mem.Line
 	// writes buffers the speculative stores: line membership,
 	// first-write order and the logged words in one structure. Commit
@@ -295,7 +313,11 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	}
 	e.txnSeq++
 	var tx *txn
-	if old := e.lastTxn[t.ID()]; old != nil && old.finished {
+	id := t.ID()
+	for id >= len(e.lastTxn) {
+		e.lastTxn = append(e.lastTxn, nil)
+	}
+	if old := e.lastTxn[id]; old != nil && old.finished {
 		// The object's sets were Reset when it finished, keeping their
 		// grown capacity. The thread object can differ across scheduler
 		// runs even for the same thread ID, so it is rebound.
@@ -312,10 +334,11 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
 			lo: 1, hi: maxSON,
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(t.ID()),
+			selfBit:  cache.CoreBit(id),
 		}
-		e.lastTxn[t.ID()] = tx
+		e.lastTxn[id] = tx
 	}
+	tx.slot = e.readers.Take(tx)
 	tx.activeIdx = len(e.active)
 	e.active = append(e.active, tx)
 	if e.tracer != nil {
@@ -394,7 +417,9 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	// logically precedes its reads. See DESIGN.md, "Horizon batching".
 	x.t.Interact()
 	if line != x.lastRead {
-		x.readSet.Add(line)
+		if x.e.readers.Add(x.slot, line) {
+			x.readLines = append(x.readLines, line)
+		}
 		x.lastRead = line
 	}
 	x.raiseLo(x.e.writeNums.Load(uint64(line))+1, line)
@@ -425,8 +450,9 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 }
 
-// cleanup removes the transaction from the active list and resets its
-// sets in O(touched), keeping capacity for the next incarnation.
+// cleanup removes the transaction from the active list, clears its reader
+// bits, frees its slot and resets its sets in O(touched), keeping
+// capacity for the next incarnation.
 func (x *txn) cleanup() {
 	a := x.e.active
 	last := len(a) - 1
@@ -436,7 +462,8 @@ func (x *txn) cleanup() {
 	a[last] = nil
 	x.e.active = a[:last]
 	x.finished = true
-	x.readSet.Reset()
+	x.e.readers.Release(x.slot, x.readLines)
+	x.readLines = x.readLines[:0]
 	x.writes.Reset()
 }
 
@@ -468,7 +495,7 @@ func (x *txn) Commit() error {
 		// Readers commit with their interval; record their reads so
 		// future writers serialize after them.
 		son := x.lo
-		for _, line := range x.readSet.Lines() {
+		for _, line := range x.readLines {
 			if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
 				*rn = son
 			}
@@ -527,7 +554,7 @@ func (x *txn) Commit() error {
 			if other.writes.Has(line) {
 				other.raiseLo(son+1, line)
 			}
-			if other.readSet.Contains(line) {
+			if x.e.readers.Has(other.slot, line) {
 				other.clampHi(son-1, line)
 			}
 		}
@@ -565,7 +592,7 @@ func (x *txn) Commit() error {
 			}
 		}
 	}
-	for _, line := range x.readSet.Lines() {
+	for _, line := range x.readLines {
 		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
 			*rn = son
 		}

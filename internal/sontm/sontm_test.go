@@ -245,3 +245,42 @@ func TestReadOnlyCommits(t *testing.T) {
 		t.Fatal("read-only commit not counted")
 	}
 }
+
+// TestWriterCommitDoomsManyReaders holds more live readers of one line
+// than one bitmap word has bits. Each must serialize after a committed
+// writer of another line, so the commit of a new writer of their shared
+// line must empty every one of their intervals, and no hold may survive.
+func TestWriterCommitDoomsManyReaders(t *testing.T) {
+	const readers = 70
+	e := New(DefaultConfig())
+	single(func(th *sched.Thread) {
+		w1 := e.Begin(th)
+		w1.Write(addr(2), 1)
+		if err := w1.Commit(); err != nil {
+			t.Fatalf("w1: %v", err)
+		}
+		var rs []tm.Txn
+		for i := 0; i < readers; i++ {
+			r := e.Begin(th)
+			_ = r.Read(addr(2)) // serializes after w1
+			_ = r.Read(addr(1)) // must serialize before w2
+			rs = append(rs, r)
+		}
+		w2 := e.Begin(th)
+		w2.Write(addr(1), 1)
+		if err := w2.Commit(); err != nil {
+			t.Fatalf("w2: %v", err)
+		}
+		for i, r := range rs {
+			if err := r.Commit(); err == nil {
+				t.Errorf("reader %d (slot %d) committed with an empty interval", i, r.(*txn).slot)
+			}
+		}
+	})
+	if got := e.Stats().Aborts[tm.AbortOrder]; got != readers {
+		t.Fatalf("order aborts = %d, want %d", got, readers)
+	}
+	if err := e.AuditAccessSets(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -20,10 +20,12 @@ import (
 // The per-structure property tests live in internal/aset and the
 // report-level gate in internal/harness; this sweep proves the equivalence
 // survives real engine access patterns, including commit-time broadcast
-// probes into concurrent transactions' sets.
+// probes into concurrent transactions' sets. The 72-thread cells put
+// live transactions past slot 63, so 2PL's and SONTM's reader bitmaps
+// use their second word.
 func TestAccessSetDifferential(t *testing.T) {
 	for _, name := range tm.Engines() {
-		for _, threads := range []int{1, 2, 4, 8} {
+		for _, threads := range []int{1, 2, 4, 8, 72} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/t%d/s%d", name, threads, seed), func(t *testing.T) {
 					fast := runEngineWorkload(t, name, tm.EngineOptions{}, threads, seed, (*sched.Sim).Run)

@@ -10,13 +10,13 @@ import (
 
 // The per-transaction hot paths — Read, Write and Commit — run once per
 // simulated access and once per transaction across every figure sweep, so
-// they must be allocation-free in steady state: the read set and write
-// log are aset tables that Reset in O(touched), line holds are validated
-// by epoch instead of being walked on cleanup, and transaction objects
-// recycle per thread. "hit" is the repeat-access fast path; "conflict"
-// keeps a concurrent transaction holding the benchmark's lines, so every
-// operation runs the requester-wins machinery — the live-writer probe and
-// doom on reads, the reader-record scan and doom on writes.
+// they must be allocation-free in steady state: reader bits live in
+// paged per-line bitmaps, the read lines and write log keep their
+// capacity when cleanup clears them, and transaction objects recycle per
+// thread. "hit" is the repeat-access fast path; "conflict" keeps a
+// concurrent transaction holding the benchmark's lines, so every
+// operation runs the requester-wins machinery — the writer probe and
+// doom on reads, the reader-bitmap scan and doom on writes.
 // TestTxnHotPathsAllocFree asserts 0 allocs/op for all of them; the CI
 // bench smoke and sitm-bench -json report them.
 

@@ -11,12 +11,16 @@
 // serialize on a commit token and write the speculative write log back to
 // memory; aborts discard the logs and restart in software.
 //
-// Access tracking uses the signature-backed tables of internal/aset:
-// the write log is an aset.WriteLog, and per-line reader/writer holds are
-// epoch-stamped records that a finished or recycled transaction
-// invalidates all at once, so begin/commit/abort never walk the line
-// table. The pre-aset map-based engine is kept verbatim in slow.go as a
-// differential oracle behind Config.ReferenceSets.
+// Access tracking follows the hardware it models, which keeps read bits
+// per cache line. Each live transaction owns a slot, and each line keeps a
+// bitmap over slots (aset.ReadHolds). A read sets the reader's bit, and a
+// get-exclusive dooms the owners of the set bits. The writer hold is one
+// pointer per line. The write log is an aset.WriteLog. A finishing
+// transaction walks its read lines and its write log to clear its own
+// bits and writer holds. Every recorded hold therefore belongs to a live
+// transaction, and no liveness check is needed. The pre-aset map-based
+// engine is kept verbatim in slow.go as a differential oracle behind
+// Config.ReferenceSets.
 package twopl
 
 import (
@@ -73,17 +77,6 @@ func DefaultConfig() Config {
 // fresh transaction's first read always takes the set path.
 const noLine = ^mem.Line(0)
 
-// lineState tracks which transactions hold a line transactionally. The
-// writer hold is valid only while (writer.epoch == wEpoch &&
-// !writer.finished); reader records carry the same epoch validation
-// inside aset.Readers. Finishing a transaction therefore releases every
-// hold it had without touching this table.
-type lineState struct {
-	writer  *txn
-	wEpoch  uint64
-	readers aset.Readers[*txn]
-}
-
 // Engine is the 2PL baseline.
 type Engine struct {
 	cfg    Config
@@ -101,22 +94,25 @@ type Engine struct {
 	// filtered publish is observably identical.
 	presence cache.Presence
 
-	// words and lines are paged tables keyed by word/line number: the
+	// words and writers are paged tables keyed by word/line number: the
 	// simulated address space is dense (bump allocated), and these sit
 	// on the per-access hot path where a map hash dominated. The paged
 	// backing keeps the heap proportional to touched lines at
 	// serving-scale footprints (Config.ReferenceStore retains the dense
-	// backing as the differential oracle).
-	words  mem.Paged[uint64]
-	lines  mem.Paged[lineState]
-	txnSeq uint64
+	// backing as the differential oracle). writers holds each line's
+	// live writer, nil when none.
+	words   mem.Paged[uint64]
+	writers mem.Paged[*txn]
+	// readers holds each line's live readers as a bitmap over the
+	// transactions' slots.
+	readers aset.ReadHolds[*txn]
+	txnSeq  uint64
 
-	// lastTxn recycles each thread's most recent transaction object:
-	// finishing a transaction invalidates its epoch-stamped line holds,
-	// so the object — and its already-grown access sets — can be reused
+	// lastTxn recycles each thread's most recent transaction object,
+	// indexed by thread ID: finishing a transaction clears its holds, so
+	// the object — and its already-grown access sets — can be reused
 	// without a fresh allocate-and-rehash cycle.
-	lastTxn    map[int]*txn
-	liveReader func(*txn, uint64) bool
+	lastTxn []*txn
 
 	// Reference map-based implementation state (slow.go), used only when
 	// cfg.ReferenceSets.
@@ -132,16 +128,15 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:      cfg,
 		shared:   cache.NewShared(cfg.Cache),
-		lastTxn:  make(map[int]*txn),
 		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
 	}
-	e.liveReader = e.readerLive
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
 	}
 	if cfg.ReferenceStore {
 		e.words.SetReference()
-		e.lines.SetReference()
+		e.writers.SetReference()
+		e.readers.SetReference()
 	}
 	return e
 }
@@ -216,8 +211,9 @@ func (e *Engine) CacheStats() cache.Stats {
 }
 
 // AuditAccessSets verifies that no live access-set state survives outside
-// a running transaction: recycled transaction objects hold empty sets and
-// no line records a live reader or writer. tmtest calls it after each
+// a running transaction: recycled transaction objects hold empty sets, no
+// line holds a reader bit or a writer, and every slot is free. It reports
+// the lowest offending thread or line. tmtest calls it after each
 // conformance cell. The reference (map-based) path keeps the pre-aset
 // engine's own lifecycle — cleanup deletes its holds eagerly — so it is
 // not audited.
@@ -237,32 +233,23 @@ func (e *Engine) AuditAccessSets() error {
 		if n := tx.writes.Len(); n != 0 {
 			return fmt.Errorf("twopl: thread %d leaked %d write-log lines", id, n)
 		}
-		if n := tx.reads.Len(); n != 0 {
-			return fmt.Errorf("twopl: thread %d leaked %d read-set lines", id, n)
+		if n := len(tx.readLines); n != 0 {
+			return fmt.Errorf("twopl: thread %d leaked %d read lines", id, n)
 		}
 	}
 	var auditErr error
-	e.lines.Range(func(i uint64, st *lineState) {
-		if auditErr != nil {
-			return
-		}
-		if w := st.writer; w != nil && w.epoch == st.wEpoch && !w.finished {
-			auditErr = fmt.Errorf("twopl: line %d holds a live writer after quiescence", i)
-			return
-		}
-		st.readers.Compact(e.liveReader)
-		if n := st.readers.Len(); n != 0 {
-			auditErr = fmt.Errorf("twopl: line %d holds %d live reader records after quiescence", i, n)
+	e.writers.Range(func(i uint64, w **txn) {
+		if auditErr == nil && *w != nil {
+			auditErr = fmt.Errorf("twopl: line %d holds a writer after quiescence", i)
 		}
 	})
-	return auditErr
-}
-
-// readerLive is the liveness predicate of reader records: live while the
-// object has not been recycled (epoch match) and the transaction has not
-// finished.
-func (e *Engine) readerLive(r *txn, epoch uint64) bool {
-	return r.epoch == epoch && !r.finished
+	if auditErr != nil {
+		return auditErr
+	}
+	if err := e.readers.Audit(); err != nil {
+		return fmt.Errorf("twopl: %v after quiescence", err)
+	}
+	return nil
 }
 
 // txn is one 2PL transaction attempt.
@@ -271,18 +258,17 @@ type txn struct {
 	t  *sched.Thread
 	h  *cache.Hierarchy
 	id uint64
-	// epoch distinguishes incarnations of a recycled transaction object:
-	// line holds carry the epoch they were made under, so recycling
-	// releases all of an object's holds without walking the line table.
-	epoch uint64
+	// slot is this transaction's bit in every line's reader bitmap,
+	// owned from Begin until cleanup.
+	slot int
 
-	// reads dedups this transaction's reader registrations: one record
-	// per line regardless of how often the line is read.
-	reads aset.LineSet
+	// readLines lists the lines this transaction holds in shared mode,
+	// each once, in first-read order: cleanup clears its bit on them.
+	readLines []mem.Line
 	// lastRead memoises the line of the previous Read: registration is
 	// idempotent and never revoked mid-transaction, so a repeat read of
 	// the same line (sequential word scans hit the same line eight
-	// times) can skip the set probe entirely.
+	// times) can skip the bitmap entirely.
 	lastRead mem.Line
 	// writes buffers the speculative stores: line membership,
 	// first-write order and the logged words in one structure.
@@ -309,15 +295,16 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	}
 	e.txnSeq++
 	var tx *txn
-	if old := e.lastTxn[t.ID()]; old != nil && old.finished {
+	id := t.ID()
+	for id >= len(e.lastTxn) {
+		e.lastTxn = append(e.lastTxn, nil)
+	}
+	if old := e.lastTxn[id]; old != nil && old.finished {
 		// The object's sets were Reset when it finished, keeping their
-		// grown capacity; bumping the epoch releases any line holds the
-		// previous incarnation left behind. The thread object can
-		// differ across scheduler runs even for the same thread ID, so
-		// it is rebound.
+		// grown capacity. The thread object can differ across scheduler
+		// runs even for the same thread ID, so it is rebound.
 		old.t = t
 		old.id = e.txnSeq
-		old.epoch++
 		old.lastRead = noLine
 		old.doomed, old.doomKind, old.doomLine = false, 0, 0
 		old.finished = false
@@ -326,12 +313,12 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	} else {
 		tx = &txn{
 			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
-			epoch:    1,
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(t.ID()),
+			selfBit:  cache.CoreBit(id),
 		}
-		e.lastTxn[t.ID()] = tx
+		e.lastTxn[id] = tx
 	}
+	tx.slot = e.readers.Take(tx)
 	if e.tracer != nil {
 		e.tracer.TxnBegin(tx.id, t.ID())
 	}
@@ -391,19 +378,6 @@ func (x *txn) maybeInterrupt(line mem.Line) {
 	tm.SignalAbort(tm.AbortInterrupt, line)
 }
 
-// liveWriter returns the line's current writer, clearing a hold whose
-// transaction finished or was recycled (the lazy counterpart of the
-// eager slot clear the map-based cleanup performed).
-func (st *lineState) liveWriter() *txn {
-	if w := st.writer; w != nil {
-		if w.epoch == st.wEpoch && !w.finished {
-			return w
-		}
-		st.writer = nil
-	}
-	return nil
-}
-
 // Read implements tm.Txn: a get-shared broadcast aborts any conflicting
 // writer ("requester wins"), then the line joins the read set.
 func (x *txn) Read(a mem.Addr) uint64 {
@@ -421,13 +395,12 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	// Eager conflict detection reads and writes the shared line table on
 	// every access: 2PL interacts per event and can never batch.
 	x.t.Interact()
-	st := x.e.lines.Slot(uint64(line))
-	if w := st.liveWriter(); w != nil && w != x {
+	if w := x.e.writers.Load(uint64(line)); w != nil && w != x {
 		w.doom(tm.AbortReadWrite, line)
 	}
 	if line != x.lastRead {
-		if x.reads.Add(line) {
-			st.readers.CompactAdd(x, x.epoch, x.e.liveReader)
+		if x.e.readers.Add(x.slot, line) {
+			x.readLines = append(x.readLines, line)
 		}
 		x.lastRead = line
 	}
@@ -464,28 +437,34 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 		}
 	}
 	x.t.Interact() // get-exclusive broadcast: per-event interaction
-	st := x.e.lines.Slot(uint64(line))
-	if w := st.liveWriter(); w != nil && w != x {
+	wp := x.e.writers.Slot(uint64(line))
+	if w := *wp; w != nil && w != x {
 		w.doom(tm.AbortWriteWrite, line)
 	}
-	for _, ent := range st.readers.Entries() {
-		if r := ent.Tx; r != x && r.epoch == ent.Epoch && !r.finished {
-			r.doom(tm.AbortReadWrite, line)
+	for k := 0; k < x.e.readers.Words(); k++ {
+		for b := x.e.readers.Word(k, line); b != 0; b &= b - 1 {
+			if r := x.e.readers.Owner(k<<6 | bits.TrailingZeros64(b)); r != x {
+				r.doom(tm.AbortReadWrite, line)
+			}
 		}
 	}
-	st.writer = x
-	st.wEpoch = x.epoch
+	*wp = x
 	x.writes.Store(a, v)
 }
 
-// cleanup releases the transaction's line holds and resets its sets.
-// Setting finished invalidates every reader/writer record the
-// transaction made (they are epoch-and-liveness validated), so no table
-// walk is needed.
+// cleanup releases the transaction's line holds — its reader bits, its
+// slot and the writer holds a later writer has not taken over — and
+// resets its sets, keeping their capacity.
 func (x *txn) cleanup() {
 	x.finished = true
+	for _, line := range x.writes.Lines() {
+		if wp := x.e.writers.Slot(uint64(line)); *wp == x {
+			*wp = nil
+		}
+	}
+	x.e.readers.Release(x.slot, x.readLines)
+	x.readLines = x.readLines[:0]
 	x.writes.Reset()
-	x.reads.Reset()
 }
 
 // Abort implements tm.Txn: read and write logs are discarded and the

@@ -224,3 +224,41 @@ func TestLivelockAvoidedWithBackoff(t *testing.T) {
 		t.Fatalf("counters = %d,%d want 20,20", e.NonTxRead(addr(1)), e.NonTxRead(addr(2)))
 	}
 }
+
+// TestGetExclusiveDoomsManyReaders holds more live readers of one line
+// than one bitmap word has bits: the get-exclusive must doom every one of
+// them, the freed slots must be reused lowest first, and no hold may
+// survive.
+func TestGetExclusiveDoomsManyReaders(t *testing.T) {
+	const readers = 70
+	e := New(DefaultConfig())
+	single(func(th *sched.Thread) {
+		var rs []tm.Txn
+		for i := 0; i < readers; i++ {
+			r := e.Begin(th)
+			_ = r.Read(addr(1))
+			_ = r.Read(addr(2 + i))
+			rs = append(rs, r)
+		}
+		w := e.Begin(th)
+		w.Write(addr(1), 1)
+		if err := w.Commit(); err != nil {
+			t.Fatalf("requester: %v", err)
+		}
+		for i, r := range rs {
+			if err := r.Commit(); err == nil {
+				t.Errorf("reader %d (slot %d) committed past the get-exclusive", i, r.(*txn).slot)
+			}
+		}
+		if slot := e.Begin(th).(*txn).slot; slot != 0 {
+			t.Errorf("first Begin after the readers finished took slot %d, want 0", slot)
+		}
+		e.lastTxn[th.ID()].Abort()
+	})
+	if got := e.Stats().Aborts[tm.AbortReadWrite]; got != readers {
+		t.Fatalf("read-write aborts = %d, want %d", got, readers)
+	}
+	if err := e.AuditAccessSets(); err != nil {
+		t.Fatal(err)
+	}
+}
