@@ -10,8 +10,10 @@ import (
 // Access/AccessVersioned/Invalidate are hot paths of the whole evaluation
 // (the engines call them orders of magnitude more often than they commit).
 // Each benchmark pins a distinct regime: "hit" is the way-predicted L1
-// probe that the fast path exists for, "miss" walks a working set larger
-// than the L3 data region so every level scans and evicts.
+// probe that the fast path exists for, "hit-unpredicted" an L1 hit on
+// another way of the set (the scan plus the recency update), "miss" walks
+// a working set larger than the L3 data region so every level scans and
+// evicts.
 // AccessPrivate, SI-TM's batching certificate, adds its three outcomes:
 // an L1 hit, an L2 hit (a scan that streams through L1 but fits in L2)
 // and an L2 miss, which it refuses without touching anything. All of them
@@ -46,6 +48,11 @@ func warmScan(h *Hierarchy) {
 	}
 }
 
+// pingLine alternates between two lines of one L1 set (the Table 1 L1 has
+// 128 sets), so once both are resident every access hits L1 on the way
+// the set did not predict.
+func pingLine(i int) mem.Line { return mem.Line(1 + 128*(i&1)) }
+
 func BenchmarkAccess(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		h := benchHierarchy()
@@ -54,6 +61,19 @@ func BenchmarkAccess(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Access(1)
+		}
+	})
+	b.Run("hit-unpredicted", func(b *testing.B) {
+		h := benchHierarchy()
+		h.Access(pingLine(0))
+		h.Access(pingLine(1))
+		if lat := h.Access(pingLine(0)); lat != h.cfg.L1Latency {
+			b.Fatalf("Access = %d, regime wants an L1 hit (%d)", lat, h.cfg.L1Latency)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 1; i <= b.N; i++ {
+			h.Access(pingLine(i))
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
@@ -154,6 +174,7 @@ func TestHotPathsAllocFree(t *testing.T) {
 		f    func()
 	}{
 		{"Access/hit", func() { h.Access(1) }},
+		{"Access/hit-unpredicted", func() { h.Access(pingLine(n)); n++ }},
 		{"Access/miss", func() { h.Access(missLine(n)); n++ }},
 		{"AccessVersioned/hit", func() { h.AccessVersioned(1) }},
 		{"AccessVersioned/miss", func() { h.AccessVersioned(missLine(n)); n++ }},

@@ -10,16 +10,18 @@
 //
 // Every probe used to pay for a full way scan plus an LRU stamp update,
 // and that loop dominated sweep wall-time. The implementation here keeps
-// the architecture of slow.go observably intact but adds a per-set MRU
-// way prediction: each set remembers its most-recently-used way, and a
-// probe first compares that single tag. A predicted hit touches one tag
-// word and updates nothing — the MRU way already carries the maximal LRU
-// stamp in its set, so skipping the stamp write preserves the relative
-// stamp order that decides every future eviction. Only mispredictions
-// fall back to the scan-and-fill path. Equivalence with the reference
-// implementation (slowLevel/SlowHierarchy in slow.go) is pinned by a
-// property test over random access/invalidate/release streams, an
-// engine-level sweep in internal/tmtest, and the harness-level
+// the architecture of slow.go observably intact but replaces its per-way
+// 64-bit LRU stamps with two small words per set: a recency order (4 bits
+// per way, most recently used first) and a valid-way mask. The order's
+// front way is the way prediction: a probe first compares that single
+// tag, and a predicted hit touches one tag word and updates nothing — the
+// front way is already the most recent. Only mispredictions fall back to
+// the scan-and-fill path, which moves the way to the front and, on a
+// miss, picks the oracle's victim from the two words (see accessScan).
+// Equivalence with the reference implementation (slowLevel/SlowHierarchy
+// in slow.go) is pinned by a property test over random
+// access/invalidate/release streams, an engine-level sweep in
+// internal/tmtest, and the harness-level
 // TestFiguresByteIdenticalFastVsSlowCache.
 //
 // L1 and L2 are private to their core and hold already-resolved versions;
@@ -86,19 +88,45 @@ func DefaultConfig() Config {
 	}
 }
 
-// level is one set-associative cache with LRU replacement and per-set MRU
-// way prediction. Power-of-two set counts index with a mask; other sizes
-// (e.g. the 24 MiB data region left after carving the MVM partition out
-// of the L3) divide by a precomputed reciprocal instead of paying a
-// hardware divide per probe.
+// maxWays is the widest set the recency encoding holds: 16 ways of 4
+// bits fill one order word (Table 1's L3 is 16-way).
+const maxWays = 16
+
+// nibbles has a 1 in every 4-bit field of a recency-order word.
+const nibbles = 0x1111111111111111
+
+// level is one set-associative cache with LRU replacement and way
+// prediction. Besides the tags, each set keeps two words of replacement
+// state:
+//
+//   - order, a recency list of the set's ways: 4 bits per way, most
+//     recently used first. Its low nibble is the predicted way. A zero word
+//     stands for the identity order (way 0 first), so a fresh or reset set
+//     is all-zero and is filled in on its first scan.
+//   - valid, a mask whose bit i is set while way i has been used since it
+//     was last invalidated — exactly the ways whose oracle LRU stamp is
+//     non-zero.
+//
+// The oracle evicts the way with the smallest stamp, lowest index first
+// on ties. Stamps are distinct except the zeros of unused ways, so its
+// victim is the lowest way not in valid, or, with every way valid, the
+// least recently used one: the last entry of order. Every stamp write of
+// the oracle is a move to the front of order, so among valid ways order
+// always ranks by stamp.
+//
+// Power-of-two set counts index with a mask; other sizes (e.g. the 24 MiB
+// data region left after carving the MVM partition out of the L3) divide
+// by a precomputed reciprocal instead of paying a hardware divide per
+// probe.
 type level struct {
 	sets    int
 	ways    int
 	tags    []mem.Line // sets*ways entries; 0 means empty (line 0 unused)
-	stamps  []uint64   // LRU timestamps, parallel to tags
-	mru     []int32    // per-set predicted way: last way hit or filled
-	clock   uint64
-	setMask uint64 // sets-1 when sets is a power of two, else 0
+	order   []uint64   // per-set recency order, 0 = identity
+	valid   []uint16   // per-set mask of ways in use
+	ident   uint64     // identity order: nibble i holds way i
+	full    uint16     // valid mask with every way set
+	setMask uint64     // sets-1 when sets is a power of two, else 0
 	// modMul is ceil(2^64/sets), the Lemire reciprocal used to compute
 	// line % sets with two multiplies when sets is not a power of two
 	// and the line fits in 32 bits (real lines always do; the oracle's
@@ -106,13 +134,16 @@ type level struct {
 	modMul uint64
 
 	// Dirty-set tracking: reset (scratch reuse) restores pristine state
-	// by clearing only the sets a fill ever touched, instead of
-	// memclr-ing multi-megabyte tag/stamp arrays per simulation cell.
+	// by clearing only the sets a scan ever touched, instead of
+	// memclr-ing multi-megabyte tag arrays per simulation cell.
 	dirtyBits []uint64 // one bit per set
 	dirtySets []int32  // sets with their dirty bit set, any order
 }
 
 func newLevel(sizeBytes, ways int, s *Scratch) *level {
+	if ways < 1 || ways > maxWays {
+		panic("cache: ways must be between 1 and 16")
+	}
 	sets := sizeBytes / mem.LineBytes / ways
 	if sets <= 0 {
 		panic("cache: set count must be positive")
@@ -123,10 +154,14 @@ func newLevel(sizeBytes, ways int, s *Scratch) *level {
 	l := &level{
 		sets: sets, ways: ways,
 		tags:      make([]mem.Line, sets*ways),
-		stamps:    make([]uint64, sets*ways),
-		mru:       make([]int32, sets),
+		order:     make([]uint64, sets),
+		valid:     make([]uint16, sets),
+		full:      uint16(1<<ways - 1),
 		dirtyBits: make([]uint64, (sets+63)/64),
 		dirtySets: make([]int32, 0, sets),
+	}
+	for i := 1; i < ways; i++ {
+		l.ident |= uint64(i) << (4 * i)
 	}
 	if sets&(sets-1) == 0 {
 		l.setMask = uint64(sets - 1)
@@ -152,58 +187,90 @@ func (l *level) setOf(line mem.Line) int {
 	return int(n % uint64(l.sets))
 }
 
+// predicted returns the index into tags of set's predicted (most recently
+// used) way.
+func (l *level) predicted(set int) int {
+	return set*l.ways + int(l.order[set]&15)
+}
+
 // access looks up line; on miss it fills the line, evicting LRU.
 // It reports whether the access hit.
 //
-// Fast path: if the set's predicted (MRU) way holds the line, the probe
-// is a single tag compare with no clock tick and no stamp write. That is
-// observably identical to the oracle's hit-with-stamp-update because the
-// predicted way already holds the strictly maximal stamp in its set —
-// every code path that writes a stamp also repoints mru at that way — so
-// rewriting it with a larger clock value cannot change which way any
-// future eviction picks, and empty sets never fast-hit (their tags are 0
-// and line 0 is unused).
+// Fast path: if the set's predicted way holds the line, the probe is a
+// single tag compare that updates nothing. That is observably identical
+// to the oracle's hit-with-stamp-update because the predicted way already
+// holds the maximal stamp of its set — every oracle stamp write is a move
+// to the front of order — so a fresh stamp cannot change which way any
+// future eviction picks. Empty sets never fast-hit: their tags are 0 and
+// line 0 is unused.
 // Line 0 must always take the scan: the oracle cannot distinguish "way
 // holds line 0" from "way is empty", so access(0) hits the first empty
 // way of its set and stamps it (xlateLine maps data lines 1..7 there) —
 // a quirk the predicted path would otherwise resolve at the wrong way.
 func (l *level) access(line mem.Line) bool {
 	set := l.setOf(line)
-	if line != 0 && l.tags[set*l.ways+int(l.mru[set])] == line {
+	if line != 0 && l.tags[l.predicted(set)] == line {
 		return true
 	}
 	return l.accessScan(line, set)
 }
 
-// accessScan is the misprediction path: the oracle's scan-and-fill loop,
-// plus the MRU and dirty-set bookkeeping the fast path relies on.
+// accessScan is the misprediction path: the oracle's scan-and-fill loop
+// over the set's two state words. A hit, including the line-0 quirk's hit
+// on an empty way, marks the way valid and moves it to the front; a miss
+// fills the oracle's victim (see level) and does the same.
 func (l *level) accessScan(line mem.Line, set int) bool {
-	l.clock++
 	base := set * l.ways
 	// Subslice the set once so the way scan runs without per-element
 	// bounds checks.
 	tags := l.tags[base : base+l.ways]
-	stamps := l.stamps[base : base+l.ways]
-	victim, oldest := 0, ^uint64(0)
+	order, valid := l.order[set], l.valid[set]
+	if order == 0 {
+		order = l.ident
+	}
+	way, pos, hit := 0, 0, false
 	for i, tag := range tags {
 		if tag == line {
-			stamps[i] = l.clock
-			l.mru[set] = int32(i)
-			// A genuine hit implies the set was filled before and is
-			// already dirty — except the line-0 quirk, where a "hit"
-			// on an empty way can be a pristine set's first write.
-			l.markDirty(set)
-			return true
-		}
-		if stamps[i] < oldest {
-			oldest, victim = stamps[i], i
+			way, hit = i, true
+			break
 		}
 	}
-	tags[victim] = line
-	stamps[victim] = l.clock
-	l.mru[set] = int32(victim)
+	switch {
+	case hit:
+		pos = wayPos(order, way)
+	case valid != l.full:
+		way = bits.TrailingZeros16(^valid)
+		pos = wayPos(order, way)
+		tags[way] = line
+	default:
+		pos = l.ways - 1
+		way = int(order >> (4 * pos) & 15)
+		tags[way] = line
+	}
+	l.order[set] = toFront(order, pos, way)
+	l.valid[set] = valid | 1<<way
+	// A genuine hit implies the set was filled before and is already
+	// dirty — except the line-0 quirk, where a "hit" on an empty way can
+	// be a pristine set's first write.
 	l.markDirty(set)
-	return false
+	return hit
+}
+
+// wayPos returns the position of way in the recency order: the index of
+// the lowest nibble equal to way. A permutation holds each way once in
+// its low nibbles; the unused high nibbles are 0 and lie above way 0's
+// position. The zero-nibble test (x-1)&^x&8 has false positives only
+// above a true zero nibble, so the lowest flagged nibble is exact.
+func wayPos(order uint64, way int) int {
+	x := order ^ uint64(way)*nibbles
+	return bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3)) >> 2
+}
+
+// toFront moves way, found at position pos of order, to the front: the
+// nibbles below pos shift up one place and those above stay.
+func toFront(order uint64, pos, way int) uint64 {
+	below := uint64(1)<<(4*pos) - 1
+	return order&^(below<<4|15) | (order&below)<<4 | uint64(way)
 }
 
 // holds reports, mutating nothing, whether set holds line.
@@ -229,33 +296,39 @@ func (l *level) markDirty(set int) {
 	}
 }
 
-// invalidate removes line if present. The MRU prediction is left alone:
-// if the invalidated way was predicted, its tag is now 0, which can never
+// invalidate removes line if present: it clears the way's tag and valid
+// bit, as the oracle zeroes tag and stamp, and leaves order alone. For
+// line 0 that is every empty way of the set, the oracle's behaviour too.
+// If the invalidated way was predicted, its tag is now 0, which can never
 // fast-hit, so the next probe of that set takes the scan path and
 // re-trains the prediction.
 func (l *level) invalidate(line mem.Line) {
-	base := l.setOf(line) * l.ways
+	set := l.setOf(line)
+	base := set * l.ways
 	tags := l.tags[base : base+l.ways]
+	var drop uint16
 	for i, tag := range tags {
 		if tag == line {
 			tags[i] = 0
-			l.stamps[base+i] = 0
+			drop |= 1 << i
 		}
+	}
+	if drop != 0 {
+		l.valid[set] &^= drop
 	}
 }
 
 // reset restores the pristine (fresh-allocation) state by clearing only
-// the sets that were ever filled.
+// the sets that were ever scanned.
 func (l *level) reset() {
 	for _, s := range l.dirtySets {
 		base := int(s) * l.ways
 		clear(l.tags[base : base+l.ways])
-		clear(l.stamps[base : base+l.ways])
-		l.mru[s] = 0
+		l.order[s] = 0
+		l.valid[s] = 0
 	}
 	clear(l.dirtyBits)
 	l.dirtySets = l.dirtySets[:0]
-	l.clock = 0
 }
 
 // Stats counts hits per level for one core. Accesses is the total number
@@ -337,7 +410,7 @@ func (h *Hierarchy) Access(line mem.Line) uint64 {
 	// fast hit is the single most common outcome of the whole simulator.
 	l1 := h.l1
 	set := l1.setOf(line)
-	if line != 0 && l1.tags[set*l1.ways+int(l1.mru[set])] == line {
+	if line != 0 && l1.tags[l1.predicted(set)] == line {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
 	}
@@ -376,7 +449,7 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 	// Same open-coded L1 predicted-hit probe as Access.
 	l1 := h.l1
 	set := l1.setOf(line)
-	if line != 0 && l1.tags[set*l1.ways+int(l1.mru[set])] == line {
+	if line != 0 && l1.tags[l1.predicted(set)] == line {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
 	}
@@ -415,9 +488,10 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 // AccessPrivate performs the access to line only if this core's private
 // caches serve it. If L1 (any way) or L2 holds the line it does exactly
 // what Access and AccessVersioned would — the two agree up to an L2 miss:
-// an L1 hit stamps L1, an L2 hit fills L1 and stamps L2, and Stats count
-// the same — and returns that latency and true. Otherwise it mutates
-// nothing and returns false, and the caller takes the full access.
+// an L1 hit refreshes L1's recency, an L2 hit fills L1 and refreshes L2,
+// and Stats count the same — and returns that latency and true.
+// Otherwise it mutates nothing and returns false, and the caller takes
+// the full access.
 //
 // Engines use it to certify an access as non-interacting before batching
 // it past the conductor's inline bound (sched.Thread.TickHinted): a
@@ -436,10 +510,10 @@ func (h *Hierarchy) AccessPrivate(line mem.Line) (uint64, bool) {
 	l1 := h.l1
 	set := l1.setOf(line)
 	switch {
-	case l1.tags[set*l1.ways+int(l1.mru[set])] == line:
+	case l1.tags[l1.predicted(set)] == line:
 		// Way-predicted hit: nothing to update (see level.access).
 	case l1.holds(line, set):
-		l1.accessScan(line, set) // hits and stamps
+		l1.accessScan(line, set) // hits and moves to the front
 	case h.l2.holds(line, h.l2.setOf(line)):
 		l1.accessScan(line, set) // misses and fills
 		h.l2.access(line)

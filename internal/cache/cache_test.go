@@ -101,12 +101,22 @@ func TestStatsCount(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for a zero-set cache")
-		}
-	}()
-	newLevel(32, 3, nil) // smaller than one way of lines
+	for _, c := range []struct {
+		name            string
+		sizeBytes, ways int
+	}{
+		{"zero sets", 32, 3},                       // smaller than one way of lines
+		{"wider than the order word", 17 * 64, 17}, // one 17-way set
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: newLevel(%d, %d) did not panic", c.name, c.sizeBytes, c.ways)
+				}
+			}()
+			newLevel(c.sizeBytes, c.ways, nil)
+		}()
+	}
 }
 
 func TestNonPowerOfTwoSetsWork(t *testing.T) {

@@ -13,11 +13,21 @@ import (
 // identical stats from both. The engine-level pin lives in
 // internal/tmtest and the report-level pin in internal/harness.
 
+// diffConfig is one geometry the property test sweeps and the span of
+// lines its random streams draw from.
+type diffConfig struct {
+	cfg   Config
+	lines int
+}
+
 // diffConfigs are the geometries the property test sweeps: the paper's
 // architecture plus deliberately awkward shapes — tiny caches so random
 // streams actually evict, a non-power-of-two L3 data region (modulo
-// indexing), no translation cache, and no MVM partition.
-func diffConfigs() []Config {
+// indexing), no translation cache, no MVM partition, direct-mapped
+// private caches, and 16-way L1/L3 with an 8-way L2, whose sets fill and
+// evict at every width the recency order encodes (the default config's
+// 16-way L3 never fills a set on these streams).
+func diffConfigs() []diffConfig {
 	small := Config{
 		L1SizeBytes: 2 << 10, L1Ways: 2, L1Latency: 4,
 		L2SizeBytes: 4 << 10, L2Ways: 4, L2Latency: 8,
@@ -33,20 +43,33 @@ func diffConfigs() []Config {
 	oneWay := small
 	oneWay.L1Ways = 1
 	oneWay.L2Ways = 1
-	return []Config{DefaultConfig(), small, noXlate, noMVM, oneWay}
+	wide := Config{
+		L1SizeBytes: 2 << 10, L1Ways: 16, L1Latency: 4, // 2 sets
+		L2SizeBytes: 4 << 10, L2Ways: 8, L2Latency: 8, // 8 sets
+		L3SizeBytes: 13 << 10, L3Ways: 16, L3Latency: 30, // 12-set data region
+		MVMPartBytes: 1 << 10, // one 16-way set
+		MemLatency:   100,
+		XlateEntries: 8,
+	}
+	return []diffConfig{
+		{DefaultConfig(), 192}, {small, 192}, {noXlate, 192}, {noMVM, 192}, {oneWay, 192},
+		// 320 lines overflow the 192-line L3 data region.
+		{wide, 320},
+	}
 }
 
 // diffPair is one simulated machine driven through both implementations.
 type diffPair struct {
-	cfg  Config
-	sh   *Shared
-	fast []*Hierarchy
-	ssh  *SlowShared
-	slow []*SlowHierarchy
+	cfg   Config
+	lines int // line span of the random stream
+	sh    *Shared
+	fast  []*Hierarchy
+	ssh   *SlowShared
+	slow  []*SlowHierarchy
 }
 
-func newDiffPair(cfg Config, cores int) *diffPair {
-	p := &diffPair{cfg: cfg, sh: NewShared(cfg), ssh: NewSlowShared(cfg)}
+func newDiffPair(cfg Config, lines, cores int) *diffPair {
+	p := &diffPair{cfg: cfg, lines: lines, sh: NewShared(cfg), ssh: NewSlowShared(cfg)}
 	for i := 0; i < cores; i++ {
 		p.fast = append(p.fast, NewHierarchy(cfg, p.sh))
 		p.slow = append(p.slow, NewSlowHierarchy(cfg, p.ssh))
@@ -63,7 +86,7 @@ func (p *diffPair) step(t *testing.T, rng *rand.Rand, versioned bool) {
 	core := rng.Intn(len(p.fast))
 	// A small line space forces set conflicts; the occasional huge line
 	// exercises the wide-modulo fallback of setOf.
-	line := mem.Line(rng.Intn(192) + 1)
+	line := mem.Line(rng.Intn(p.lines) + 1)
 	if rng.Intn(64) == 0 {
 		line = mem.Line(rng.Uint64() | 1<<40)
 	}
@@ -164,14 +187,14 @@ func (p *diffPair) accessPrivate(t *testing.T, core int, line mem.Line, versione
 // shared pool and rebuilds from it, so recycled state is compared against
 // the always-fresh oracle).
 func TestDifferentialFastVsSlow(t *testing.T) {
-	for ci, cfg := range diffConfigs() {
+	for ci, dc := range diffConfigs() {
 		for _, cores := range []int{1, 3} {
 			for _, versioned := range []bool{true, false} {
 				rng := rand.New(rand.NewSource(int64(1000*ci + 10*cores + boolInt(versioned))))
-				cfg := cfg
+				cfg := dc.cfg
 				cfg.Scratch = NewScratch()
 				for session := 0; session < 3; session++ {
-					p := newDiffPair(cfg, cores)
+					p := newDiffPair(cfg, dc.lines, cores)
 					for i := 0; i < 4000; i++ {
 						p.step(t, rng, versioned)
 					}
@@ -189,7 +212,7 @@ func TestDifferentialFastVsSlow(t *testing.T) {
 // in reference mode must observe exactly what the fast path observes, and
 // never certifies a private hit (its hits go through the oracle).
 func TestReferenceModeMatchesFast(t *testing.T) {
-	cfg := diffConfigs()[1]
+	cfg := diffConfigs()[1].cfg
 	fsh := NewShared(cfg)
 	fast := NewHierarchy(cfg, fsh)
 	rcfg := cfg
@@ -245,6 +268,46 @@ func TestSetOfMatchesOracle(t *testing.T) {
 			if got, want := f.setOf(n), s.setOf(n); got != want {
 				t.Fatalf("sets=%d: setOf(%d) = %d, want %d", sets, n, got, want)
 			}
+		}
+	}
+}
+
+// TestRecencyOrderMatchesModel pins the nibble-packed recency order of
+// level against a slice model for every width from 1 to 16 ways: starting
+// from the zero (identity) word, random moves to the front must leave
+// wayPos, toFront and the LRU nibble agreeing with a plain list.
+func TestRecencyOrderMatchesModel(t *testing.T) {
+	for ways := 1; ways <= maxWays; ways++ {
+		l := newLevel(ways*mem.LineBytes, ways, nil) // one set
+		model := make([]int, ways)
+		for i := range model {
+			model[i] = i
+		}
+		order := l.order[0]
+		rng := rand.New(rand.NewSource(int64(ways)))
+		for step := 0; step < 2000; step++ {
+			if order == 0 {
+				order = l.ident
+			}
+			for pos, way := range model {
+				if got := int(order >> (4 * pos) & 15); got != way {
+					t.Fatalf("ways=%d step %d: order %#x has way %d at position %d, model %v", ways, step, order, got, pos, model)
+				}
+			}
+			if order>>(4*ways) != 0 {
+				t.Fatalf("ways=%d step %d: order %#x has nibbles past the last way", ways, step, order)
+			}
+			way := rng.Intn(ways)
+			if rng.Intn(4) == 0 {
+				way = model[ways-1] // the LRU victim's move
+			}
+			pos := wayPos(order, way)
+			if model[pos] != way {
+				t.Fatalf("ways=%d step %d: wayPos(%#x, %d) = %d, model %v", ways, step, order, way, pos, model)
+			}
+			order = toFront(order, pos, way)
+			copy(model[1:pos+1], model[:pos])
+			model[0] = way
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package cache
 
 // geometry identifies interchangeable level backing arrays: two levels
-// with the same set and way counts have identically sized tag/stamp
-// storage.
+// with the same set and way counts have identically sized tag and
+// per-set state storage.
 type geometry struct {
 	sets, ways int
 }
@@ -15,17 +15,17 @@ type geometry struct {
 // multi-megabyte arrays forever.
 const maxPoolPerGeometry = 64
 
-// Scratch recycles the tag/stamp arrays of simulated cache levels across
-// simulations. A full hierarchy allocates several megabytes per cell
-// (Table 1's 32 MiB L3 alone is half a million tag/stamp pairs), which
+// Scratch recycles the tag and per-set recency arrays of simulated cache
+// levels across simulations. A full hierarchy allocates several megabytes
+// per cell (Table 1's 32 MiB L3 alone is half a million tags), which
 // dominated the per-cell setup cost of the evaluation sweeps; with a
 // scratch, a worker's next cell reuses the previous cell's arrays.
 //
 // Determinism: an acquired level is reset to the exact state a fresh
-// allocation would have (zero tags, zero stamps, zero clock, zero MRU
-// predictions), so a cell behaves bit-identically whether its arrays are
-// fresh or recycled. The reset clears only the sets the previous owner
-// dirtied (see level.reset), not the whole array.
+// allocation would have (zero tags and all-zero recency order and
+// valid-way words), so a cell behaves bit-identically whether its arrays
+// are fresh or recycled. The reset clears only the sets the previous
+// owner dirtied (see level.reset), not the whole array.
 //
 // A Scratch is not safe for concurrent use. The harness keeps one per
 // experiment worker (shared-nothing), matching the runner's cell

@@ -50,19 +50,35 @@ func TestScratchReuseIsPristine(t *testing.T) {
 }
 
 // TestScratchRecyclesArrays checks the pool actually reuses backing
-// arrays instead of silently allocating fresh ones.
+// arrays instead of silently allocating fresh ones, and hands them back
+// with every set's replacement state pristine (all-zero).
 func TestScratchRecyclesArrays(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scratch = NewScratch()
 	sh := NewShared(cfg)
 	first := &sh.l3.tags[0]
+	h := NewHierarchy(cfg, sh)
+	for i := 0; i < 5000; i++ {
+		h.Access(mem.Line(i*7 + 1)) // dirty tags, order and valid words
+	}
+	h.Invalidate(8)
+	h.Release()
 	sh.Release()
 	sh2 := NewShared(cfg)
 	if &sh2.l3.tags[0] != first {
 		t.Fatal("released L3 arrays were not recycled by the next NewShared")
 	}
-	if sh2.l3.clock != 0 {
-		t.Fatalf("recycled level clock = %d, want 0", sh2.l3.clock)
+	for _, l := range []*level{sh2.l3, sh2.mvm} {
+		for set := range l.sets {
+			if l.order[set] != 0 || l.valid[set] != 0 {
+				t.Fatalf("recycled level set %d: order %#x, valid %#x, want all-zero", set, l.order[set], l.valid[set])
+			}
+		}
+		for i, tag := range l.tags {
+			if tag != 0 {
+				t.Fatalf("recycled level tag[%d] = %d, want 0", i, tag)
+			}
+		}
 	}
 }
 

@@ -281,7 +281,8 @@ type Sim struct {
 
 	// cur is the running thread's ID under Run and limit its inline
 	// bound: the first cycle count at which it no longer leads (see
-	// leads). limit is zero outside Run, so RunChoose sees every charge. horizonMin caches the running thread's horizon while
+	// leads). limit is zero outside Run, so RunChoose sees every
+	// charge. horizonMin caches the running thread's horizon while
 	// horizonOK; bind and WakeAll clear it.
 	cur        int
 	limit      uint64

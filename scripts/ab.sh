@@ -56,7 +56,12 @@ extract() {
 	rm -rf "$2"
 	mkdir -p "$2"
 	if [ -z "$1" ]; then
+		# ls-files -c also lists tracked files deleted from the working
+		# tree (ls-files -d); keep only paths that are still there.
 		git -C "$repo" ls-files -co --exclude-standard -z |
+			(cd "$repo" && xargs -0 sh -c 'for f; do
+				if [ -e "$f" ] || [ -h "$f" ]; then printf "%s\0" "$f"; fi
+			done' sh) |
 			(cd "$repo" && xargs -0 tar -cf -) | tar -xf - -C "$2"
 	else
 		git -C "$repo" archive "$1" | tar -xf - -C "$2"
