@@ -29,7 +29,7 @@
 // shared L3, the translation cache or the MVM partition. Other cores
 // write a core's private state only through commit invalidations.
 // Hierarchy.AccessPrivate exposes exactly those private L1/L2 hits, which
-// SI-TM batches under the scheduler's horizon (DESIGN.md "Horizon
+// the engines batch under the scheduler's horizon (DESIGN.md "Horizon
 // batching").
 package cache
 

@@ -476,15 +476,12 @@ func (x *txn) Site(s string) tm.Txn {
 	return x
 }
 
+// Fence implements tm.Txn (see sched.Thread.Fence).
+func (x *txn) Fence() { x.t.Fence() }
+
 // Read implements tm.Txn: the most current version older than the start
 // timestamp is returned (§4.2, TM READ), unless the transaction itself
 // wrote the word.
-// Fence ends any batched scheduling quantum of the transaction's thread
-// (txlib's in-transaction allocator calls it so that shared
-// non-transactional effects — bump allocations — happen in simulated
-// order; see sched.Thread.Fence). A no-op outside horizon batching.
-func (x *txn) Fence() { x.t.Fence() }
-
 func (x *txn) Read(a mem.Addr) uint64 {
 	// Most workloads never promote a site; the len guard keeps the
 	// string-keyed map hash off the per-read hot path in that case.

@@ -152,6 +152,10 @@ func (x *slowTxn) Site(s string) tm.Txn {
 	return x
 }
 
+// Fence implements tm.Txn: the reference path never batches, so its
+// thread is always at a per-event scheduling point.
+func (x *slowTxn) Fence() {}
+
 // Read implements tm.Txn: the most current version older than the start
 // timestamp is returned (§4.2, TM READ), unless the transaction itself
 // wrote the word.

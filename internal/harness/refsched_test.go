@@ -42,41 +42,53 @@ func TestFiguresByteIdenticalFastVsSlow(t *testing.T) {
 
 // TestFiguresByteIdenticalBatchedVsPerEvent is the acceptance gate for
 // horizon batching at the report level: the Figure 7 and Figure 8 tables
-// must be byte-identical whether the conductor runs multi-event quanta
-// (the default) or schedules strictly per event (Options.PerEvent, the
-// -per-event flag). It also asserts batching actually engaged — cells
-// must report batched events and strictly fewer coroutine switches than
-// the per-event baseline, or the gate would pass vacuously.
+// on List and Genome must be byte-identical whether the conductor runs
+// multi-event quanta (the default) or schedules strictly per event
+// (Options.PerEvent, the -per-event flag). It also asserts batching
+// actually engaged — the 2PL, SONTM and SI-TM cells must each report
+// batched events, and the sweep strictly fewer coroutine switches than
+// the per-event baseline — or the gate would pass vacuously. Genome
+// allocates inside transactions at every thread count, so a transaction
+// whose Fence does not end the batched quantum before txlib's bump
+// allocator permutes node addresses and moves its speedups.
 func TestFiguresByteIdenticalBatchedVsPerEvent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full figure sweeps")
 	}
-	var batched, perEvent sched.Stats
-	collect := func(into *sched.Stats) func(exp.Cell, exp.CellResult) {
+	collect := func(into map[string]sched.Stats) func(exp.Cell, exp.CellResult) {
 		var mu sync.Mutex
-		return func(_ exp.Cell, res exp.CellResult) {
+		return func(c exp.Cell, res exp.CellResult) {
 			mu.Lock()
-			into.Add(res.Sched)
+			st := into[c.Engine]
+			st.Add(res.Sched)
+			into[c.Engine] = st
 			mu.Unlock()
 		}
 	}
-	o := Options{Seeds: []uint64{1}, Only: []string{"List"}, CellDone: collect(&batched)}
+	batched, perEvent := map[string]sched.Stats{}, map[string]sched.Stats{}
+	o := Options{Seeds: []uint64{1}, Only: []string{"List", "Genome"}, CellDone: collect(batched)}
 	fast := figureBytes(t, o)
 	o.PerEvent = true
-	o.CellDone = collect(&perEvent)
+	o.CellDone = collect(perEvent)
 	ref := figureBytes(t, o)
 	if !bytes.Equal(fast, ref) {
 		t.Fatalf("figure output diverges between batched and per-event conductors:\n--- batched ---\n%s\n--- per-event ---\n%s", fast, ref)
 	}
-	if batched.BatchedEvents == 0 {
-		t.Fatalf("batched sweep ran no batched events: %+v", batched)
+	var bsw, psw uint64
+	for engine, st := range batched {
+		bsw += st.CoroutineSwitches
+		psw += perEvent[engine].CoroutineSwitches
+		if perEvent[engine].BatchedEvents != 0 {
+			t.Errorf("%s per-event cells batched %d events", engine, perEvent[engine].BatchedEvents)
+		}
 	}
-	if perEvent.BatchedEvents != 0 {
-		t.Fatalf("per-event sweep batched %d events", perEvent.BatchedEvents)
+	for _, engine := range []string{TwoPL, SONTM, SITM} {
+		if batched[engine].BatchedEvents == 0 {
+			t.Errorf("%s cells ran no batched events: %+v", engine, batched[engine])
+		}
 	}
-	if batched.CoroutineSwitches >= perEvent.CoroutineSwitches {
-		t.Fatalf("batched sweep switched %d times, per-event %d: batching should reduce switches",
-			batched.CoroutineSwitches, perEvent.CoroutineSwitches)
+	if bsw >= psw {
+		t.Fatalf("batched sweep switched %d times, per-event %d: batching should reduce switches", bsw, psw)
 	}
 }
 

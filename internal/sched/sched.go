@@ -82,12 +82,16 @@ func (t *Thread) Cycles() uint64 { return t.cycles }
 // Rand returns the thread's deterministic random number generator.
 func (t *Thread) Rand() *Rand { return t.rng }
 
-// leads reports whether the running thread is still ordered before every
+// Leads reports whether the running thread is still ordered before every
 // other runnable thread — strictly lower cycles, or equal cycles and lower
-// ID — so the conductor would resume it immediately. It is the single
-// inline check of Run's charges; outside Run the limit is zero, so every
-// charge reaches the reference conductors.
-func (t *Thread) leads() bool { return t.cycles < t.sim.limit }
+// ID — so the conductor would resume it immediately, and an effect it
+// performs now lands exactly where the per-event conductor would place
+// it. It is the single inline check of Run's charges. Past that bound
+// the thread is inside a batched quantum, and only effects certified
+// non-interacting may run before the next Fence or yield (see
+// TickHinted). Outside Run the limit is zero, so it reports false and
+// every charge reaches the reference conductors.
+func (t *Thread) Leads() bool { return t.cycles < t.sim.limit }
 
 // suspend hands control on until the thread is resumed. Under Run it
 // replays the thread's leaf, binds the new root and switches straight
@@ -113,7 +117,7 @@ func (t *Thread) suspend() {
 //
 //go:noinline
 func (t *Thread) inline() {
-	if t.leads() {
+	if t.Leads() {
 		t.sim.stats.InlineTicks++
 		return
 	}
@@ -180,11 +184,15 @@ func (t *Thread) LocalTick(c uint64) {
 func (t *Thread) TickHinted(c uint64) {
 	t.cycles += c
 	s := t.sim
-	if t.leads() {
+	if t.Leads() {
 		s.stats.InlineTicks++
 		return
 	}
-	if s.batch && t.cycles < s.horizon() {
+	// The horizon is at most the inline bound plus the largest slack
+	// published in this run (a parked thread with the lowest counter
+	// bounds both), so a charge that overshoots the bound by that much
+	// cannot batch and skips the horizon walk.
+	if s.batch && t.cycles-s.limit < s.maxSlack && t.cycles < s.horizon() {
 		s.stats.BatchedEvents++
 		if t.cycles > s.maxBatchedKey {
 			s.maxBatchedKey = t.cycles
@@ -202,7 +210,7 @@ func (t *Thread) TickHinted(c uint64) {
 // LocalTick/TickHinted; tm.Atomic fences once per attempt, which covers
 // every engine's Begin-side clock and stall logic.
 func (t *Thread) Fence() {
-	if t.sim.batch && !t.leads() {
+	if t.sim.batch && !t.Leads() {
 		t.suspend()
 	}
 }
@@ -215,6 +223,9 @@ func (t *Thread) Fence() {
 // set their own thread's slack. A stale promise is caught by Interact.
 func (t *Thread) SetSlack(s uint64) {
 	t.slack = s
+	if s > t.sim.maxSlack {
+		t.sim.maxSlack = s
+	}
 }
 
 // Slack returns the thread's published interaction slack.
@@ -281,7 +292,7 @@ type Sim struct {
 
 	// cur is the running thread's ID under Run and limit its inline
 	// bound: the first cycle count at which it no longer leads (see
-	// leads). limit is zero outside Run, so RunChoose sees every
+	// Leads). limit is zero outside Run, so RunChoose sees every
 	// charge. horizonMin caches the running thread's horizon while
 	// horizonOK; bind and WakeAll clear it.
 	cur        int
@@ -302,6 +313,9 @@ type Sim struct {
 	// maxBatchedKey is the highest simulated key at which any thread has
 	// batched an event past its inline bound; Interact audits against it.
 	maxBatchedKey uint64
+	// maxSlack is the largest slack any thread has published since the
+	// run started, an upper bound on every leaf's reach past its counter.
+	maxSlack uint64
 
 	stats Stats
 
@@ -491,7 +505,7 @@ func (s *Sim) bind(t *Thread) {
 // body when first resumed.
 func (s *Sim) start(body func(*Thread)) int {
 	s.stats = Stats{}
-	s.maxBatchedKey = 0
+	s.maxBatchedKey, s.maxSlack = 0, 0
 	for _, t := range s.threads {
 		t.done = false
 		t.slack = 0

@@ -24,6 +24,14 @@
 // AND in the common miss case. The pre-aset map-based engine is kept
 // verbatim in slow.go as a differential oracle behind
 // Config.ReferenceSets.
+//
+// Reads and writes that hit this core's private caches batch under the
+// conductor's horizon (sched.Thread.TickHinted): their after-charge
+// effects touch only the transaction's own sets and interval and state
+// that only a writer commit changes. A transaction that has written
+// nothing publishes L1Latency cycles of interaction slack — its writer
+// commit lies behind at least one more write charge — and none from its
+// first write until it finishes (DESIGN.md "Horizon batching").
 package sontm
 
 import (
@@ -134,6 +142,12 @@ type Engine struct {
 	lastTxnSlow map[int]*slowTxn
 
 	commitBusy bool
+
+	// batch enables the horizon-batched access path (sched.TickHinted):
+	// the fast access sets and cache model and no tracer. batchable
+	// holds the configuration-derived part; SetTracer recomputes batch.
+	batch     bool
+	batchable bool
 }
 
 // New creates a SONTM engine.
@@ -152,6 +166,8 @@ func New(cfg Config) *Engine {
 		e.readNums.SetReference()
 		e.readers.SetReference()
 	}
+	e.batchable = !cfg.ReferenceSets && !cfg.Cache.Reference
+	e.batch = e.batchable
 	return e
 }
 
@@ -165,8 +181,12 @@ func (e *Engine) Stats() *tm.Stats { return &e.stats }
 // no-op.
 func (e *Engine) Promote(string) {}
 
-// SetTracer implements tm.Engine.
-func (e *Engine) SetTracer(tr tm.Tracer) { e.tracer = tr }
+// SetTracer implements tm.Engine. Tracing pins the per-access event
+// order, so it also disables the horizon-batched access path.
+func (e *Engine) SetTracer(tr tm.Tracer) {
+	e.tracer = tr
+	e.batch = e.batchable && tr == nil
+}
 
 // NonTxRead implements tm.Engine.
 //
@@ -341,6 +361,10 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	tx.slot = e.readers.Take(tx)
 	tx.activeIdx = len(e.active)
 	e.active = append(e.active, tx)
+	// Read-phase slack: the writer commit, whose broadcast dooms peers
+	// at the committer's park position, lies behind at least one write
+	// charge of L1Latency or more.
+	t.SetSlack(e.cfg.Cache.L1Latency)
 	if e.tracer != nil {
 		e.tracer.TxnBegin(tx.id, t.ID())
 	}
@@ -350,6 +374,26 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 
 // Site implements tm.Txn.
 func (x *txn) Site(s string) tm.Txn { x.site = s; return x }
+
+// Fence implements tm.Txn (see sched.Thread.Fence).
+func (x *txn) Fence() { x.t.Fence() }
+
+// access performs the access to line for a charge through TickHinted
+// and returns its latency. Past the inline bound only a hit in this
+// core's L1 or L2 (cache.Hierarchy.AccessPrivate) may run inside the
+// batched quantum; a miss would reach the shared L3, so it fences first
+// and runs at the per-event point, as does every access of a thread
+// that still leads. The caller's after-charge effects are certified
+// either way.
+func (x *txn) access(line mem.Line) uint64 {
+	if !x.t.Leads() {
+		if lat, ok := x.h.AccessPrivate(line); ok {
+			return lat
+		}
+		x.t.Fence()
+	}
+	return x.h.Access(line)
+}
 
 // raiseLo raises the lower bound; the interval emptying dooms the txn.
 func (x *txn) raiseLo(v uint64, line mem.Line) {
@@ -403,19 +447,18 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	// before the yield, so the presence record must be in place for any
 	// commit that interleaves with the yield.
 	x.e.presence.Note(line, x.selfBit)
-	x.t.Tick(x.h.Access(line))
+	// Batchable: the effects below touch this transaction's reader bit,
+	// interval and write log, and the write-number and word tables,
+	// which change only inside writer commits. A commit fences and
+	// audits, and a parked peer's commit lies behind its published slack.
+	if x.e.batch {
+		x.t.TickHinted(x.access(line))
+	} else {
+		x.t.Tick(x.h.Access(line))
+	}
 	if x.e.tracer != nil {
 		x.e.tracer.TxnRead(x.id, a, x.site)
 	}
-	// The SON interval update reads the shared write-number table. The
-	// read itself would be safe to batch (write numbers only change
-	// inside writer commits), but SONTM can never publish interaction
-	// slack: a writer commit charges its whole cost in one trailing
-	// Tick, so the broadcast dooms peers at the committer's previous
-	// park position — zero charge-distance after the park. Any nonzero
-	// slack promise at Begin would let a peer batch past a doom that
-	// logically precedes its reads. See DESIGN.md, "Horizon batching".
-	x.t.Interact()
 	if line != x.lastRead {
 		if x.e.readers.Add(x.slot, line) {
 			x.readLines = append(x.readLines, line)
@@ -440,11 +483,19 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.e.presence.Note(line, x.selfBit)
-	x.t.Tick(x.h.Access(line))
+	// From the first write on, the writer commit may follow the very
+	// next park, so the thread promises no slack. The write itself
+	// batches like a read: it only logs the store and raises this
+	// transaction's own lower bound.
+	x.t.SetSlack(0)
+	if x.e.batch {
+		x.t.TickHinted(x.access(line))
+	} else {
+		x.t.Tick(x.h.Access(line))
+	}
 	if x.e.tracer != nil {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
 	}
-	x.t.Interact() // per event: no sound slack exists (see Read)
 	x.writes.Store(a, v)
 	x.raiseLo(x.e.writeNums.Load(uint64(line))+1, line)
 	x.checkDoom()
@@ -452,8 +503,10 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 
 // cleanup removes the transaction from the active list, clears its reader
 // bits, frees its slot and resets its sets in O(touched), keeping
-// capacity for the next incarnation.
+// capacity for the next incarnation. The thread's next writer commit
+// lies in a later transaction, so the read-phase slack returns.
 func (x *txn) cleanup() {
+	x.t.SetSlack(x.e.cfg.Cache.L1Latency)
 	a := x.e.active
 	last := len(a) - 1
 	moved := a[last]
@@ -510,6 +563,11 @@ func (x *txn) Commit() error {
 		return nil
 	}
 
+	// The writer commit reads the active list and the read history and
+	// broadcasts to peers at this key, so it must run at the per-event
+	// point: end any batched quantum of the write phase.
+	x.t.Fence()
+
 	// Unlike the 2PL baseline, SONTM detects conflicts eagerly during
 	// execution, so commits of different transactions have disjoint
 	// effects and need no token: the commit's hashing, broadcast and
@@ -534,9 +592,9 @@ func (x *txn) Commit() error {
 
 	// Broadcast the write set: concurrent readers of these lines must
 	// serialize before us; concurrent writers after us. These effects
-	// execute at the park position of the transaction's LAST access —
+	// execute at the park position of the transaction's last access —
 	// the commit cost is charged in one trailing Tick below — which is
-	// why SONTM threads can never promise interaction slack: the doom
+	// why a thread promises no slack from its first write on: the doom
 	// lands at charge-distance zero from a park. Splitting the charge
 	// to land effects later (as core does) would move the broadcast to
 	// a different simulated cycle and change figure bytes.

@@ -97,6 +97,11 @@ type Txn interface {
 	// Site labels subsequent operations with a source location for the
 	// write-skew tool; it returns the transaction for chaining.
 	Site(s string) Txn
+	// Fence ends any batched scheduling quantum of the transaction's
+	// thread (sched.Thread.Fence), so that the caller's next effect on
+	// shared non-transactional state — txlib's bump allocator — happens
+	// in simulated order. It is a no-op where the engine never batches.
+	Fence()
 }
 
 // Engine is a transactional memory implementation: the paper's SI-TM or

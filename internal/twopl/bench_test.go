@@ -51,6 +51,30 @@ func runWithBystander(e *Engine, setup func(tm.Txn), body func(th *sched.Thread)
 	})
 }
 
+// runBatching drives body on thread 0 inside a batched quantum: thread 1
+// publishes an unbounded slack and, whenever it runs, parks one cycle
+// past thread 0, so thread 0's batchable charges overshoot its inline
+// bound but stay below the horizon and return inline. Commits and
+// Begins still yield once each.
+func runBatching(b *testing.B, body func(th *sched.Thread)) {
+	s := sched.New(2, 1)
+	done := false
+	s.Run(func(th *sched.Thread) {
+		if th.ID() == 1 {
+			th.SetSlack(1 << 60)
+			for lead := s.Thread(0); !done; {
+				th.Tick(lead.Cycles() + 1 - th.Cycles())
+			}
+			return
+		}
+		body(th)
+		done = true
+	})
+	if s.Stats().BatchedEvents == 0 {
+		b.Fatalf("no batched events: %+v", s.Stats())
+	}
+}
+
 func benchReads(b *testing.B, e *Engine, th *sched.Thread, spread int) {
 	tx := e.Begin(th)
 	for i := 0; i < spread; i++ {
@@ -137,6 +161,12 @@ func BenchmarkTxnRead(b *testing.B) {
 		e := New(DefaultConfig())
 		runSingle(func(th *sched.Thread) { benchReads(b, e, th, 8) })
 	})
+	// Private hits past the inline bound, below the horizon: the
+	// batched charge path.
+	b.Run("batched", func(b *testing.B) {
+		e := New(DefaultConfig())
+		runBatching(b, func(th *sched.Thread) { benchReads(b, e, th, 8) })
+	})
 	// Every read hits a line a concurrent writer holds: the live-writer
 	// probe validates the hold and dooms the holder (idempotently).
 	b.Run("conflict", func(b *testing.B) {
@@ -188,6 +218,10 @@ func TestTxnHotPathsAllocFree(t *testing.T) {
 		{"TxnRead/hit", func(b *testing.B) {
 			e := New(DefaultConfig())
 			runSingle(func(th *sched.Thread) { benchReads(b, e, th, 8) })
+		}},
+		{"TxnRead/batched", func(b *testing.B) {
+			e := New(DefaultConfig())
+			runBatching(b, func(th *sched.Thread) { benchReads(b, e, th, 8) })
 		}},
 		{"TxnRead/conflict", func(b *testing.B) {
 			e := New(DefaultConfig())

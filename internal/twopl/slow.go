@@ -109,6 +109,10 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 // Site implements tm.Txn.
 func (x *slowTxn) Site(s string) tm.Txn { x.site = s; return x }
 
+// Fence implements tm.Txn: the reference path never batches, so its
+// thread is always at a per-event scheduling point.
+func (x *slowTxn) Fence() {}
+
 // doom marks a victim transaction aborted; the requester always wins.
 func (x *slowTxn) doom(kind tm.AbortKind, line mem.Line) {
 	if !x.doomed {

@@ -21,6 +21,13 @@
 // transaction, and no liveness check is needed. The pre-aset map-based
 // engine is kept verbatim in slow.go as a differential oracle behind
 // Config.ReferenceSets.
+//
+// A transaction that has written nothing can batch its reads under the
+// conductor's horizon (sched.Thread.TickHinted): its next get-exclusive
+// or commit lies behind at least one more access charge, so it publishes
+// L1Latency + BroadcastCost cycles of interaction slack until its first
+// write. Reads that would doom a writer, writes and commits stay per
+// event (DESIGN.md "Horizon batching").
 package twopl
 
 import (
@@ -121,6 +128,14 @@ type Engine struct {
 
 	commitBusy  bool
 	accessCount int
+
+	// batch enables the horizon-batched read path (sched.TickHinted):
+	// the fast access sets and cache model, no interrupt injection (its
+	// engine-wide access counter is order-sensitive) and no tracer.
+	// batchable holds the configuration-derived part; SetTracer
+	// recomputes batch.
+	batch     bool
+	batchable bool
 }
 
 // New creates a 2PL engine.
@@ -138,6 +153,8 @@ func New(cfg Config) *Engine {
 		e.writers.SetReference()
 		e.readers.SetReference()
 	}
+	e.batchable = !cfg.ReferenceSets && !cfg.Cache.Reference && cfg.InterruptPeriod <= 0
+	e.batch = e.batchable
 	return e
 }
 
@@ -151,8 +168,17 @@ func (e *Engine) Stats() *tm.Stats { return &e.stats }
 // conflicts, so promotion is a no-op: serializability needs no repair.
 func (e *Engine) Promote(string) {}
 
-// SetTracer implements tm.Engine.
-func (e *Engine) SetTracer(tr tm.Tracer) { e.tracer = tr }
+// SetTracer implements tm.Engine. Tracing pins the per-access event
+// order, so it also disables the horizon-batched read path.
+func (e *Engine) SetTracer(tr tm.Tracer) {
+	e.tracer = tr
+	e.batch = e.batchable && tr == nil
+}
+
+// readSlack is the interaction slack of a thread whose transaction has
+// written nothing: its next get-exclusive dooms readers only after a
+// write charge of at least one L1 access plus the broadcast.
+func (e *Engine) readSlack() uint64 { return e.cfg.Cache.L1Latency + e.cfg.BroadcastCost }
 
 // NonTxRead implements tm.Engine.
 //
@@ -319,6 +345,7 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 		e.lastTxn[id] = tx
 	}
 	tx.slot = e.readers.Take(tx)
+	t.SetSlack(e.readSlack())
 	if e.tracer != nil {
 		e.tracer.TxnBegin(tx.id, t.ID())
 	}
@@ -328,6 +355,30 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 
 // Site implements tm.Txn.
 func (x *txn) Site(s string) tm.Txn { x.site = s; return x }
+
+// Fence implements tm.Txn (see sched.Thread.Fence).
+func (x *txn) Fence() { x.t.Fence() }
+
+// access performs the access to line and returns its latency, and
+// whether the caller may charge it through TickHinted. A batchable
+// access — one whose after-charge effects the caller certified
+// non-interacting — may, if the thread still leads (the access then
+// happens at the per-event point) or if this core's L1 or L2 serves it
+// (cache.Hierarchy.AccessPrivate); a private miss past the bound would
+// reach the shared L3. Any other access fences first and is charged per
+// event: after the fence's yield the caller's certificate may be stale.
+func (x *txn) access(line mem.Line, batchable bool) (uint64, bool) {
+	if batchable {
+		if x.t.Leads() {
+			return x.h.Access(line), true
+		}
+		if lat, ok := x.h.AccessPrivate(line); ok {
+			return lat, true
+		}
+	}
+	x.t.Fence()
+	return x.h.Access(line), false
+}
 
 // doom marks a victim transaction aborted; the requester always wins.
 func (x *txn) doom(kind tm.AbortKind, line mem.Line) {
@@ -380,6 +431,12 @@ func (x *txn) maybeInterrupt(line mem.Line) {
 
 // Read implements tm.Txn: a get-shared broadcast aborts any conflicting
 // writer ("requester wins"), then the line joins the read set.
+//
+// A read batches only while the transaction has written nothing and no
+// other transaction holds the line as writer. Its after-charge effects
+// are then this transaction's own reader bit and a word load, which only
+// a get-exclusive or a commit write-back — both audited, and behind a
+// parked thread's published slack — could observe or change.
 func (x *txn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
@@ -388,13 +445,18 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	// before the yield, so the presence record must be in place for any
 	// commit that interleaves with the yield.
 	x.e.presence.Note(line, x.selfBit)
-	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
+	lat, hinted := x.access(line, x.e.batch && x.writes.Len() == 0 && x.e.writers.Load(uint64(line)) == nil)
+	if hinted {
+		x.t.TickHinted(lat + x.e.cfg.BroadcastCost)
+	} else {
+		x.t.Tick(lat + x.e.cfg.BroadcastCost)
+	}
 	if x.e.tracer != nil {
 		x.e.tracer.TxnRead(x.id, a, x.site)
 	}
-	// Eager conflict detection reads and writes the shared line table on
-	// every access: 2PL interacts per event and can never batch.
-	x.t.Interact()
+	// Re-load the writer: one may have taken the line while the charge
+	// yielded, and dooming it happens at the per-event point (a batched
+	// charge found no writer and did not yield).
 	if w := x.e.writers.Load(uint64(line)); w != nil && w != x {
 		w.doom(tm.AbortReadWrite, line)
 	}
@@ -420,6 +482,11 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
 	x.e.presence.Note(line, x.selfBit)
+	// The get-exclusive dooms other transactions right after this
+	// charge, and so may every later access and the commit: from the
+	// first write on the thread promises no slack.
+	x.t.SetSlack(0)
+	x.t.Fence()
 	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
 	if x.e.tracer != nil {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
@@ -453,10 +520,12 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 }
 
 // cleanup releases the transaction's line holds — its reader bits, its
-// slot and the writer holds a later writer has not taken over — and
-// resets its sets, keeping their capacity.
+// slot and the writer holds a later writer has not taken over — resets
+// its sets, keeping their capacity, and re-publishes the read-phase
+// slack: the thread's next get-exclusive lies in a later transaction.
 func (x *txn) cleanup() {
 	x.finished = true
+	x.t.SetSlack(x.e.readSlack())
 	for _, line := range x.writes.Lines() {
 		if wp := x.e.writers.Slot(uint64(line)); *wp == x {
 			*wp = nil
@@ -501,6 +570,10 @@ func (x *txn) Commit() error {
 		x.t.Tick(2)
 		return nil
 	}
+	// The slack is already zero and the transaction stopped batching at
+	// its first write; the fence keeps the order-sensitive token and
+	// write-back at the per-event point without relying on that.
+	x.t.Fence()
 	for x.e.commitBusy {
 		x.e.stats.Stalls++
 		x.t.Stall()

@@ -494,3 +494,4 @@ func (s nonTxShim) ReadPromoted(a mem.Addr) uint64 { return s.e.NonTxRead(a) }
 func (s nonTxShim) Commit() error                  { return nil }
 func (s nonTxShim) Abort()                         {}
 func (s nonTxShim) Site(string) tm.Txn             { return s }
+func (s nonTxShim) Fence()                         {}

@@ -37,11 +37,6 @@ func (m *Mem) allocNode(words int) mem.Addr {
 	return m.A.AllocAligned(words)
 }
 
-// txnFencer is implemented by engine transactions whose conductor supports
-// horizon batching (internal/core): Fence ends any batched quantum so the
-// next effect happens at the per-event scheduling point.
-type txnFencer interface{ Fence() }
-
 // allocNodeIn is allocNode from inside transaction tx. The bump allocator
 // is shared non-transactional state whose hand-out order is observable
 // (threads write the addresses they receive into the structures), so the
@@ -49,9 +44,7 @@ type txnFencer interface{ Fence() }
 // quantum the real execution order runs ahead of the simulated order and
 // would permute the addresses (see sched.Thread.TickHinted).
 func (m *Mem) allocNodeIn(tx tm.Txn, words int) mem.Addr {
-	if f, ok := tx.(txnFencer); ok {
-		f.Fence()
-	}
+	tx.Fence()
 	return m.A.AllocAligned(words)
 }
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # batch-smoke: end-to-end differential of the horizon-batched conductor.
 #
-# Runs each of two small Figure 7 sweeps twice with sitm-bench — once
+# Runs each of three small sweeps twice with sitm-bench — once
 # with horizon batching (the default) and once with -per-event — and
 # verifies for each that:
 #   - the rendered figure bytes are identical,
 #   - the batched run actually batched (sched_stats.batched_events > 0),
 #   - the per-event run batched nothing,
 #   - the batched run's coroutine-switch count is strictly lower.
-# The List sweep reads mostly L1 hits; the Array sweep's long reads scan
-# past L1, so its batched events are mostly private L2 hits.
+# The Figure 7 List sweep reads mostly L1 hits; the Figure 7 Array
+# sweep's long reads scan past L1, so its batched events are mostly
+# private L2 hits. The Figure 8 Genome sweep runs every thread count and
+# allocates nodes inside transactions, so 2PL and SONTM batch reads right
+# up to txlib's allocator, which must fence through tm.Txn.Fence.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -67,4 +70,5 @@ smoke() { # smoke <name> <sitm-bench flags...>
 
 smoke List -fig 7 -workload List
 smoke Array -fig 7 -workload Array
+smoke Genome -fig 8 -workload Genome
 echo "batch-smoke: OK"
