@@ -8,6 +8,14 @@
 // caches ("snapshots need to be invalidated during commit", §4.4), which is
 // the part of coherency that matters for the paper's timing shape.
 //
+// All three engines simulate the same machine through one System: the
+// shared L3, each core's Hierarchy and the presence filters that bound a
+// commit's invalidations to the cores that may hold the line. A Hierarchy
+// built by a System records its own presence as it fills lines, so
+// engines only access (Core(id).Access, AccessVersioned, AccessPrivate)
+// and publish (Publish, PublishVersioned); TestPublishMatchesBroadcast
+// pins the filtered publishes to an unfiltered per-core broadcast.
+//
 // Every probe used to pay for a full way scan plus an LRU stamp update,
 // and that loop dominated sweep wall-time. The implementation here keeps
 // the architecture of slow.go observably intact but replaces its per-way
@@ -352,7 +360,12 @@ type Hierarchy struct {
 	xlate *level
 	// ref, in Config.Reference mode, is the verbatim pre-fast-path
 	// implementation every call delegates to; Stats mirrors its stats.
-	ref   *SlowHierarchy
+	ref *SlowHierarchy
+	// sys and bit tie a System's core to its presence filters: a fill
+	// notes bit (coreBit of the core ID) there. bit is zero for a
+	// standalone hierarchy and for cores the filters do not track.
+	sys   *System
+	bit   uint64
 	Stats Stats
 }
 
@@ -397,9 +410,12 @@ func NewHierarchy(cfg Config, shared *Shared) *Hierarchy {
 }
 
 // Access charges a plain (non-versioned) access to line and returns its
-// latency in cycles.
+// latency in cycles. Every path past a way-predicted L1 hit notes the line
+// in the System's presence filter (see noteLine); a predicted hit is a
+// line this core filled, so it is noted already.
 func (h *Hierarchy) Access(line mem.Line) uint64 {
 	if h.ref != nil {
+		h.noteLine(line)
 		lat := h.ref.Access(line)
 		h.Stats = h.ref.Stats
 		return lat
@@ -414,6 +430,7 @@ func (h *Hierarchy) Access(line mem.Line) uint64 {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
 	}
+	h.noteLine(line)
 	if l1.accessScan(line, set) {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
@@ -438,9 +455,12 @@ func (h *Hierarchy) Access(line mem.Line) uint64 {
 // one L3-latency round trip ("less costly than two full round trip times").
 // The xlate/MVM-partition/L3 probes are fused into one pass: the
 // version-list line is computed once and each probe is the single-compare
-// fast path of its level.
+// fast path of its level. Presence is noted as in Access, and the
+// translation's on every translation-cache probe.
 func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 	if h.ref != nil {
+		h.noteLine(line)
+		h.noteXlate(xlateLine(line))
 		lat := h.ref.AccessVersioned(line)
 		h.Stats = h.ref.Stats
 		return lat
@@ -453,6 +473,7 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
 	}
+	h.noteLine(line)
 	if l1.accessScan(line, set) {
 		h.Stats.L1Hits++
 		return h.cfg.L1Latency
@@ -467,6 +488,7 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 	// from memory when not resident there.
 	xl := xlateLine(line)
 	var indirection uint64
+	h.noteXlate(xl)
 	if h.xlate != nil && h.xlate.access(xl) {
 		h.Stats.XlateHits++
 	} else {
@@ -501,6 +523,10 @@ func (h *Hierarchy) AccessVersioned(line mem.Line) uint64 {
 // non-inclusive, so an L2 hit never reaches the L3, the translation cache
 // or the MVM partition.
 //
+// A hit needs no presence note: the line was noted when this core filled
+// it, and only a commit's drain clears that record, invalidating the line
+// here in the same step.
+//
 // In Reference mode, and for line 0 (whose oracle lookup "hits" empty
 // ways), it always returns false.
 func (h *Hierarchy) AccessPrivate(line mem.Line) (uint64, bool) {
@@ -530,8 +556,8 @@ func (h *Hierarchy) AccessPrivate(line mem.Line) (uint64, bool) {
 
 // Invalidate drops line from the private caches of this core, the cached
 // translation and the partition-resident version-list line — the full
-// per-core invalidation of §4.4. Engines that split the work (see
-// InvalidatePrivate/InvalidateVersions) must preserve exactly this
+// per-core invalidation of §4.4. The System's publishes split the work
+// (invalidatePrivate/invalidateVersions) and preserve exactly this
 // composition.
 //
 //sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
@@ -550,15 +576,13 @@ func (h *Hierarchy) Invalidate(line mem.Line) {
 	}
 }
 
-// InvalidateData drops line from this core's private data caches (L1+L2)
-// only. It is the right call for engines that never perform versioned
-// accesses (2PL, SONTM): their translation caches and the MVM partition
-// are never filled, so skipping those scans is observably identical to
-// the full Invalidate — in Reference mode it therefore delegates to the
-// oracle's full invalidation.
-//
-//sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
-func (h *Hierarchy) InvalidateData(line mem.Line) {
+// invalidateData drops line from this core's private data caches (L1+L2)
+// only. On a core that never made a versioned access (2PL, SONTM) the
+// translation cache and the MVM partition are never filled, so skipping
+// those scans is observably identical to the full Invalidate — in
+// Reference mode it therefore delegates to the oracle's full
+// invalidation.
+func (h *Hierarchy) invalidateData(line mem.Line) {
 	if h.ref != nil {
 		h.ref.Invalidate(line)
 		return
@@ -567,16 +591,14 @@ func (h *Hierarchy) InvalidateData(line mem.Line) {
 	h.l2.invalidate(line)
 }
 
-// InvalidatePrivate drops line from this core's private caches and cached
-// translation, but not the shared MVM partition. The SI-TM commit calls
-// it once per other core and pairs it with a single
-// Shared.InvalidateVersions per line: the partition is shared, so
-// scanning it once per core (as the fused Invalidate does) is idempotent
-// redundancy. In Reference mode it delegates to the oracle's full
-// per-core invalidation, reproducing the original redundancy exactly.
-//
-//sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
-func (h *Hierarchy) InvalidatePrivate(line mem.Line) {
+// invalidatePrivate drops line from this core's private caches and cached
+// translation, but not the shared MVM partition. PublishVersioned pairs it
+// with a single Shared.invalidateVersions per line: the partition is
+// shared, so scanning it once per core (as the fused Invalidate does) is
+// idempotent redundancy. In Reference mode it delegates to the oracle's
+// full per-core invalidation, reproducing the original redundancy
+// exactly.
+func (h *Hierarchy) invalidatePrivate(line mem.Line) {
 	if h.ref != nil {
 		h.ref.Invalidate(line)
 		return
@@ -588,18 +610,15 @@ func (h *Hierarchy) InvalidatePrivate(line mem.Line) {
 	}
 }
 
-// InvalidateXlate drops the cached translation of line — the version-list
+// invalidateXlate drops the cached translation of line — the version-list
 // line holding its indirection entry — from this core's translation cache
-// only. Presence-filtered SI-TM commits pair it with InvalidateData: the
-// translation cache is keyed at version-list-line granularity, so the set
-// of cores that may hold a translation differs from the set that may hold
-// the data line, and the two are filtered independently. In Reference
-// mode it delegates to the oracle's full per-core invalidation, whose
-// extra scans are idempotent no-ops on structures the caller's paired
-// calls already cover.
-//
-//sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
-func (h *Hierarchy) InvalidateXlate(line mem.Line) {
+// only. PublishVersioned pairs it with invalidateData: the translation
+// cache is keyed at version-list-line granularity, so the set of cores
+// that may hold a translation differs from the set that may hold the data
+// line, and the two are filtered independently. In Reference mode it
+// delegates to the oracle's full per-core invalidation, whose extra scans
+// are idempotent no-ops on structures the paired calls already cover.
+func (h *Hierarchy) invalidateXlate(line mem.Line) {
 	if h.ref != nil {
 		h.ref.Invalidate(line)
 		return
@@ -609,17 +628,15 @@ func (h *Hierarchy) InvalidateXlate(line mem.Line) {
 	}
 }
 
-// InvalidateVersions drops the version-list line holding line's
+// invalidateVersions drops the version-list line holding line's
 // indirection entry from the shared MVM partition. Pair with
-// InvalidatePrivate (or presence-filtered InvalidateData/InvalidateXlate);
+// invalidatePrivate (or presence-filtered invalidateData/invalidateXlate);
 // in Reference mode it scans the oracle's partition — possibly
 // redundantly with per-core delegations, which is unobservable because
 // invalidation is idempotent.
-//
-//sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
-func (s *Shared) InvalidateVersions(line mem.Line) {
+func (s *Shared) invalidateVersions(line mem.Line) {
 	if s.ref != nil {
-		s.ref.InvalidateVersions(line)
+		s.ref.invalidateVersions(line)
 		return
 	}
 	if s.mvm != nil {
@@ -632,11 +649,19 @@ func (s *Shared) InvalidateVersions(line mem.Line) {
 // (§3.2 — "a single cache line contains eight version references").
 func xlateLine(line mem.Line) mem.Line { return line >> 3 }
 
-// XlateLine exposes the data-line to version-list-line mapping for
-// engines that track translation-cache presence (see Presence): the
-// translation cache is keyed by version-list line, so presence of
-// translations must be recorded at this granularity.
-func XlateLine(line mem.Line) mem.Line { return xlateLine(line) }
+// noteLine records in the owning System that this core may now hold line
+// in L1/L2. Call it before the access can fill: the record must be in
+// place by the time the engine charges the access and yields.
+func (h *Hierarchy) noteLine(line mem.Line) {
+	if h.bit != 0 {
+		h.sys.lines.note(line, h.bit)
+	}
+}
 
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
+// noteXlate records that this core may now hold version-list line xl in
+// its translation cache.
+func (h *Hierarchy) noteXlate(xl mem.Line) {
+	if h.bit != 0 {
+		h.sys.xlines.note(xl, h.bit)
+	}
+}

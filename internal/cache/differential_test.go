@@ -80,7 +80,7 @@ func newDiffPair(cfg Config, lines, cores int) *diffPair {
 // step applies one random operation to both sides and fails on any
 // observable divergence. versioned gates AccessVersioned and the
 // split-invalidation pattern (engines that never do versioned accesses
-// use InvalidateData, whose equivalence only holds on such streams).
+// use invalidateData, whose equivalence only holds on such streams).
 func (p *diffPair) step(t *testing.T, rng *rand.Rand, versioned bool) {
 	t.Helper()
 	core := rng.Intn(len(p.fast))
@@ -109,32 +109,32 @@ func (p *diffPair) step(t *testing.T, rng *rand.Rand, versioned bool) {
 		// SI-TM commit publish: every core but the committer drops its
 		// private copies; the shared partition is scanned once (fast)
 		// vs once per other core (oracle — idempotent redundancy).
-		// Half the time the private drop is the fused InvalidatePrivate,
-		// half the split InvalidateData + InvalidateXlate composition
+		// Half the time the private drop is the fused invalidatePrivate,
+		// half the split invalidateData + invalidateXlate composition
 		// the presence-filtered publish path issues (the two presence
-		// tables may prune different core sets per line, so the engines
-		// deliver the data and translation shootdowns independently).
+		// tables may prune different core sets per line, so PublishVersioned
+		// delivers the data and translation shootdowns independently).
 		split := rng.Intn(2) == 0
 		others := 0
 		for i := range p.fast {
 			if i != core {
 				if split {
-					p.fast[i].InvalidateData(line)
-					p.fast[i].InvalidateXlate(line)
+					p.fast[i].invalidateData(line)
+					p.fast[i].invalidateXlate(line)
 				} else {
-					p.fast[i].InvalidatePrivate(line)
+					p.fast[i].invalidatePrivate(line)
 				}
 				p.slow[i].Invalidate(line)
 				others++
 			}
 		}
 		if others > 0 {
-			p.sh.InvalidateVersions(line)
+			p.sh.invalidateVersions(line)
 		}
 	case op < 9: // 2PL/SONTM commit publish: data caches only
 		for i := range p.fast {
 			if i != core {
-				p.fast[i].InvalidateData(line)
+				p.fast[i].invalidateData(line)
 				p.slow[i].Invalidate(line)
 			}
 		}

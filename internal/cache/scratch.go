@@ -33,9 +33,9 @@ const maxPoolPerGeometry = 64
 type Scratch struct {
 	free map[geometry][]*level
 	// presence pools pristine presence-filter bit tables (see
-	// Presence.Release): the paged spines and their touched pages carry
+	// presence.release): the paged spines and their touched pages carry
 	// over to the next cell instead of being reallocated.
-	presence []Presence
+	presence []presence
 }
 
 // NewScratch returns an empty pool.

@@ -22,30 +22,71 @@ func latencyTrace(cfg Config) []uint64 {
 	return out
 }
 
-// TestScratchReuseIsPristine pins the determinism contract of the pool:
-// a hierarchy built from recycled arrays behaves bit-identically to one
-// built from fresh allocations, however dirty the arrays were when
-// released.
-func TestScratchReuseIsPristine(t *testing.T) {
-	fresh := latencyTrace(DefaultConfig())
+// systemTrace runs a fixed access/commit pattern over the given number of
+// cores of a System built from cfg, releases the System into cfg.Scratch,
+// and returns the latency sequence followed by the final statistics.
+func systemTrace(cfg Config, cores int) []uint64 {
+	sys := NewSystem(cfg, false)
+	var out []uint64
+	for i := 0; i < 256; i++ {
+		id := i % cores
+		h := sys.Core(id)
+		l := mem.Line(i*37%19 + 1)
+		out = append(out, h.Access(l), h.AccessVersioned(l+7))
+		if i%5 == 0 {
+			sys.PublishVersioned(id, l)
+		}
+		if i%7 == 0 {
+			sys.Publish(id, l+7)
+		}
+	}
+	st := sys.Stats()
+	out = append(out, st.L1Hits, st.L2Hits, st.L3Hits, st.MemAccesses, st.XlateHits, st.XlateMisses, st.Accesses)
+	sys.Release()
+	return out
+}
 
-	cfg := DefaultConfig()
-	cfg.Scratch = NewScratch()
-	for round := 0; round < 3; round++ {
-		got := latencyTrace(cfg) // builds, dirties and leaks into the pool
-		for i := range fresh {
-			if got[i] != fresh[i] {
-				t.Fatalf("round %d: latency[%d] = %d, recycled arrays diverge from fresh (%d)", round, i, got[i], fresh[i])
+// TestScratchReuseIsPristine pins the determinism contract of the pool:
+// a hierarchy or System built from recycled arrays and presence tables
+// behaves bit-identically to one built from fresh allocations, however
+// dirty they were when released. The System is dirtied on four cores and
+// replayed on two, so a presence bit left behind for core 2 or 3 would
+// send a publish to a core that does not exist.
+func TestScratchReuseIsPristine(t *testing.T) {
+	cases := []struct {
+		name  string
+		trace func(Config) []uint64
+		dirty func(Config)
+	}{
+		{"hierarchy", latencyTrace, func(cfg Config) {
+			sh := NewShared(cfg)
+			h := NewHierarchy(cfg, sh)
+			for i := 0; i < 100; i++ {
+				h.Access(mem.Line(i + 1)) // dirty the tags before release
 			}
-		}
-		// Return the arrays so the next round actually recycles them.
-		sh := NewShared(cfg)
-		h := NewHierarchy(cfg, sh)
-		for i := 0; i < 100; i++ {
-			h.Access(mem.Line(i + 1)) // dirty the tags before release
-		}
-		h.Release()
-		sh.Release()
+			h.Release()
+			sh.Release()
+		}},
+		{"system", func(cfg Config) []uint64 { return systemTrace(cfg, 2) },
+			func(cfg Config) { systemTrace(cfg, 4) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fresh := c.trace(DefaultConfig())
+			cfg := DefaultConfig()
+			cfg.Scratch = NewScratch()
+			for round := 0; round < 3; round++ {
+				got := c.trace(cfg) // builds, dirties and (for a System) releases
+				for i := range fresh {
+					if got[i] != fresh[i] {
+						t.Fatalf("round %d: trace[%d] = %d, recycled state diverges from fresh (%d)", round, i, got[i], fresh[i])
+					}
+				}
+				// Return dirty state so the next round actually
+				// recycles it.
+				c.dirty(cfg)
+			}
+		})
 	}
 }
 

@@ -204,12 +204,10 @@ func (h *SlowHierarchy) Invalidate(line mem.Line) {
 	}
 }
 
-// InvalidateVersions drops the version-list line holding line's
+// invalidateVersions drops the version-list line holding line's
 // indirection entry from the shared MVM partition; the Reference-mode
-// counterpart of Shared.InvalidateVersions.
-//
-//sitm:allow(chargelint) invalidation is part of the committer's publish step; its cost is charged to the committing thread by the engine's commit Tick, not to the invalidated cores, which do no work.
-func (s *SlowShared) InvalidateVersions(line mem.Line) {
+// counterpart of Shared.invalidateVersions.
+func (s *SlowShared) invalidateVersions(line mem.Line) {
 	if s.mvm != nil {
 		s.mvm.invalidate(xlateLine(line))
 	}

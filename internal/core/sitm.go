@@ -11,6 +11,11 @@
 // transaction aborts. Read-write conflicts never abort a transaction, and
 // read-only transactions commit with zero overhead.
 //
+// Thread i runs on core i of a cache.System, the Table 1 machine the
+// baselines simulate too: reads charge versioned accesses, and a writer
+// commit publishes each installed line to the other cores
+// (System.PublishVersioned, §4.4).
+//
 // Access tracking uses the signature-backed tables of internal/aset
 // (write sets, promoted-read sets, and epoch-stamped visible-reader
 // records), mirroring the fixed hardware set structures of real HTMs. The
@@ -20,7 +25,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/aset"
 	"repro/internal/cache"
@@ -82,23 +86,10 @@ type Engine struct {
 	clk    *clock.Clock
 	active *clock.ActiveTable
 	mem    *mvm.Memory
-	shared *cache.Shared
-	// hiers holds each core's private hierarchy, indexed by thread ID
-	// (IDs are dense, 0..n-1); nil until the thread first begins. nHier
-	// counts the created entries.
-	hiers  []*cache.Hierarchy
-	nHier  int
+	// caches is the simulated memory system; thread i runs on core i.
+	caches *cache.System
 	stats  tm.Stats
 	tracer tm.Tracer
-
-	// presence and xpresence filter commit-time invalidation (see
-	// cache.Presence): presence tracks which cores may hold a data line
-	// in L1/L2, xpresence which cores may hold a version-list line in
-	// their translation cache. The translation cache is keyed at
-	// version-list-line granularity — eight data lines share one entry —
-	// so translations need their own filter at that granularity.
-	presence  cache.Presence
-	xpresence cache.Presence
 
 	promoted map[string]bool
 	txnSeq   uint64
@@ -154,14 +145,12 @@ func New(cfg Config) *Engine {
 	clk.MaxInflight = cfg.MaxInflight
 	active := clock.NewActiveTable()
 	e := &Engine{
-		cfg:       cfg,
-		clk:       clk,
-		active:    active,
-		mem:       mvm.New(cfg.MVM, clk, active),
-		shared:    cache.NewShared(cfg.Cache),
-		promoted:  make(map[string]bool),
-		presence:  cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
-		xpresence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
+		cfg:      cfg,
+		clk:      clk,
+		active:   active,
+		mem:      mvm.New(cfg.MVM, clk, active),
+		caches:   cache.NewSystem(cfg.Cache, cfg.ReferenceStore),
+		promoted: make(map[string]bool),
 	}
 	e.liveReader = e.readerLive
 	if cfg.ReferenceSets {
@@ -202,55 +191,14 @@ func (e *Engine) MVM() *mvm.Memory { return e.mem }
 // Clock exposes the engine's global timestamp clock.
 func (e *Engine) Clock() *clock.Clock { return e.clk }
 
-// hierarchy returns (creating on first use) the private cache hierarchy of
-// logical thread t.
-func (e *Engine) hierarchy(t *sched.Thread) *cache.Hierarchy {
-	id := t.ID()
-	for id >= len(e.hiers) {
-		e.hiers = append(e.hiers, nil)
-	}
-	h := e.hiers[id]
-	if h == nil {
-		h = cache.NewHierarchy(e.cfg.Cache, e.shared)
-		e.hiers[id] = h
-		e.nHier++
-	}
-	return h
-}
-
 // CacheStats returns aggregate cache statistics over all cores.
-func (e *Engine) CacheStats() cache.Stats {
-	var s cache.Stats
-	for _, h := range e.hiers {
-		if h == nil {
-			continue
-		}
-		s.L1Hits += h.Stats.L1Hits
-		s.L2Hits += h.Stats.L2Hits
-		s.L3Hits += h.Stats.L3Hits
-		s.MemAccesses += h.Stats.MemAccesses
-		s.XlateHits += h.Stats.XlateHits
-		s.XlateMisses += h.Stats.XlateMisses
-		s.Accesses += h.Stats.Accesses
-	}
-	return s
-}
+func (e *Engine) CacheStats() cache.Stats { return e.caches.Stats() }
 
 // ReleaseCaches returns the simulated cache arrays to the scratch pool
 // the engine was configured with (no-op without one). The harness calls
 // it once the run's statistics have been extracted; the engine must not
 // run transactions afterwards.
-func (e *Engine) ReleaseCaches() {
-	for _, h := range e.hiers {
-		if h != nil {
-			h.Release()
-		}
-	}
-	e.hiers = nil
-	e.shared.Release()
-	e.presence.Release(e.cfg.Cache.Scratch)
-	e.xpresence.Release(e.cfg.Cache.Scratch)
-}
+func (e *Engine) ReleaseCaches() { e.caches.Release() }
 
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: every recycled transaction object holds empty
@@ -319,10 +267,6 @@ type txn struct {
 	id    uint64
 	start clock.Timestamp
 	site  string
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line (and, for versioned reads, its translation).
-	selfBit uint64
 	// epoch distinguishes incarnations of a recycled transaction object:
 	// reader records carry the epoch they were made under, so recycling
 	// invalidates all of an object's records without walking any table.
@@ -409,13 +353,12 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &txn{
-			e:       e,
-			t:       t,
-			h:       e.hierarchy(t),
-			id:      e.txnSeq,
-			start:   e.clk.Begin(),
-			selfBit: cache.CoreBit(id),
-			epoch:   1,
+			e:     e,
+			t:     t,
+			h:     e.caches.Core(id),
+			id:    e.txnSeq,
+			start: e.clk.Begin(),
+			epoch: 1,
 		}
 		e.lastTxn[id] = tx
 	}
@@ -493,18 +436,12 @@ func (x *txn) Read(a mem.Addr) uint64 {
 
 func (x *txn) read(a mem.Addr) uint64 {
 	line := mem.LineOf(a)
-	// Note before the Tick: the fills happen when AccessVersioned
-	// evaluates, before the yield, so the presence records must be in
-	// place for any commit that interleaves with the yield. A versioned
-	// access may fill both the data line and its translation.
-	x.e.presence.Note(line, x.selfBit)
-	x.e.xpresence.Note(cache.XlateLine(line), x.selfBit)
 	if lat, ok := x.privateHit(line); ok {
-		// Certified non-interacting: the presence Notes above are blind
-		// ORs and a private L1/L2 hit touches only this core's caches,
-		// which other cores write only through commit invalidations
-		// beyond the horizon, so this event may run inside a batched
-		// quantum past the inline bound (DESIGN.md "Horizon batching").
+		// Certified non-interacting: a private L1/L2 hit touches only
+		// this core's caches, which other cores write only through
+		// commit invalidations beyond the horizon, so this event may run
+		// inside a batched quantum past the inline bound (DESIGN.md
+		// "Horizon batching").
 		// The snapshot read below is pinned too — any concurrent install
 		// sits behind the horizon.
 		x.t.TickHinted(lat)
@@ -544,7 +481,6 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 {
 // traffic is emitted under lazy conflict detection.
 func (x *txn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
-	x.e.presence.Note(line, x.selfBit)
 	if lat, ok := x.privateHit(line); ok {
 		// Same certification as read: a private L1/L2 hit plus the local
 		// write-set store interacts with nothing inside the horizon.
@@ -688,8 +624,8 @@ func (x *txn) Commit() error {
 		return nil
 	}
 
-	// Entering the writer-commit critical section: installs,
-	// invalidations and presence drains follow, so the published slack
+	// Entering the writer-commit critical section: installs and the
+	// publish follow, so the published slack
 	// must drop to zero before the commit-overhead charge (a batching
 	// thread reading the old slack across this Tick's yield would admit
 	// events the install below could invalidate). Restored on every exit.
@@ -714,9 +650,6 @@ func (x *txn) Commit() error {
 		if x.writes.Has(line) {
 			continue // validated atomically when the write installs
 		}
-		// Re-note: another commit may have drained this core's bit, and
-		// the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line))
 		if x.e.mem.NewestTS(line) > x.start {
 			return x.commitAbortReserved(end, line, tm.AbortSkew)
@@ -725,7 +658,6 @@ func (x *txn) Commit() error {
 
 	for i := 0; i < x.writes.Len(); i++ {
 		line, w := x.writes.At(i)
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line)) // write the line back to the MVM
 		base, ok := x.e.mem.ReadLine(line, x.start)
 		if !ok {
@@ -794,35 +726,9 @@ func (x *txn) Commit() error {
 
 	// Publish: invalidate the committed lines in other cores' private
 	// caches so subsequent transactions fetch the new versions (§4.4).
-	// The presence filters bound the broadcast: data lines go only to
-	// cores that accessed them, translations only to cores that made a
-	// versioned access under the same version-list line (both filtered
-	// at their own granularity; skipped cores would see a no-op). The
-	// shared MVM partition holds one copy of the version-list line, so
-	// it is scanned once per line rather than once per core — but only
-	// when another core exists, matching the per-other-core fused
-	// invalidation this replaces (a solo committer never invalidated
-	// the partition, and partition residency is observable latency).
-	x.t.Interact() // drains + invalidations: audited horizon-relevant effects
+	x.t.Interact() // publish: audited horizon-relevant effect
 	for _, line := range x.writes.Lines() {
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for others := x.e.xpresence.Drain(cache.XlateLine(line), x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateXlate(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidatePrivate(line)
-			}
-		}
-		if x.e.nHier > 1 {
-			x.e.shared.InvalidateVersions(line)
-		}
+		x.e.caches.PublishVersioned(x.t.ID(), line)
 	}
 	x.finished = true
 	x.committed = true
@@ -940,7 +846,6 @@ func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 // its write set and removes all written lines from the MVM (§4.2).
 func (x *txn) commitAbortReserved(end clock.Timestamp, line mem.Line, kind tm.AbortKind) error {
 	for i := len(x.installBuf) - 1; i >= 0; i-- {
-		x.e.presence.Note(x.installBuf[i].line, x.selfBit)
 		x.t.Tick(x.h.Access(x.installBuf[i].line))
 		x.t.Interact() // revert: audited horizon-relevant effect
 		x.e.mem.Revert(x.installBuf[i].line, end, x.installBuf[i].undo)

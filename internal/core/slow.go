@@ -10,8 +10,6 @@ package core
 // being the unchanged original.
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -55,10 +53,6 @@ type slowTxn struct {
 	id    uint64
 	start clock.Timestamp
 	site  string
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line (and, for versioned reads, its translation).
-	selfBit uint64
 
 	writes     map[mem.Line]*writeEntry
 	writeOrder []mem.Line
@@ -116,7 +110,6 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 			h:             old.h,
 			id:            e.txnSeq,
 			start:         e.clk.Begin(),
-			selfBit:       old.selfBit,
 			writes:        old.writes,
 			writeOrder:    old.writeOrder[:0],
 			promotedLines: old.promotedLines,
@@ -125,13 +118,12 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &slowTxn{
-			e:       e,
-			t:       t,
-			h:       e.hierarchy(t),
-			id:      e.txnSeq,
-			start:   e.clk.Begin(),
-			selfBit: cache.CoreBit(t.ID()),
-			writes:  make(map[mem.Line]*writeEntry),
+			e:      e,
+			t:      t,
+			h:      e.caches.Core(t.ID()),
+			id:     e.txnSeq,
+			start:  e.clk.Begin(),
+			writes: make(map[mem.Line]*writeEntry),
 		}
 		e.slow.lastTxn[t.ID()] = tx
 	}
@@ -170,12 +162,6 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 
 func (x *slowTxn) read(a mem.Addr) uint64 {
 	line := mem.LineOf(a)
-	// Note before the Tick: the fills happen when AccessVersioned
-	// evaluates, before the yield, so the presence records must be in
-	// place for any commit that interleaves with the yield. A versioned
-	// access may fill both the data line and its translation.
-	x.e.presence.Note(line, x.selfBit)
-	x.e.xpresence.Note(cache.XlateLine(line), x.selfBit)
 	x.t.Tick(x.h.AccessVersioned(line))
 	if x.e.tracer != nil {
 		x.e.tracer.TxnRead(x.id, a, x.site)
@@ -216,7 +202,6 @@ func (x *slowTxn) ReadPromoted(a mem.Addr) uint64 {
 // traffic is emitted under lazy conflict detection.
 func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
-	x.e.presence.Note(line, x.selfBit)
 	x.t.Tick(x.h.Access(line)) // write into the private cache
 	if x.e.tracer != nil {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
@@ -388,9 +373,6 @@ func (x *slowTxn) Commit() error {
 		if _, mine := x.writes[line]; mine {
 			continue // validated atomically when the write installs
 		}
-		// Re-note: another commit may have drained this core's bit, and
-		// the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line))
 		if x.e.mem.NewestTS(line) > x.start {
 			return x.commitAbortReserved(end, nil, line, tm.AbortSkew)
@@ -400,7 +382,6 @@ func (x *slowTxn) Commit() error {
 	var installed []installRec
 	for _, line := range x.writeOrder {
 		w := x.writes[line]
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line)) // write the line back to the MVM
 		base, ok := x.e.mem.ReadLine(line, x.start)
 		if !ok {
@@ -467,34 +448,8 @@ func (x *slowTxn) Commit() error {
 
 	// Publish: invalidate the committed lines in other cores' private
 	// caches so subsequent transactions fetch the new versions (§4.4).
-	// The presence filters bound the broadcast: data lines go only to
-	// cores that accessed them, translations only to cores that made a
-	// versioned access under the same version-list line (both filtered
-	// at their own granularity; skipped cores would see a no-op). The
-	// shared MVM partition holds one copy of the version-list line, so
-	// it is scanned once per line rather than once per core — but only
-	// when another core exists, matching the per-other-core fused
-	// invalidation this replaces (a solo committer never invalidated
-	// the partition, and partition residency is observable latency).
 	for _, line := range x.writeOrder {
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for others := x.e.xpresence.Drain(cache.XlateLine(line), x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateXlate(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidatePrivate(line)
-			}
-		}
-		if x.e.nHier > 1 {
-			x.e.shared.InvalidateVersions(line)
-		}
+		x.e.caches.PublishVersioned(x.t.ID(), line)
 	}
 	x.finished = true
 	x.committed = true
@@ -593,7 +548,6 @@ func (x *slowTxn) ssiWriterCheck(end clock.Timestamp, installed []installRec) er
 // its write set and removes all written lines from the MVM (§4.2).
 func (x *slowTxn) commitAbortReserved(end clock.Timestamp, installed []installRec, line mem.Line, kind tm.AbortKind) error {
 	for i := len(installed) - 1; i >= 0; i-- {
-		x.e.presence.Note(installed[i].line, x.selfBit)
 		x.t.Tick(x.h.Access(installed[i].line))
 		x.e.mem.Revert(installed[i].line, end, installed[i].undo)
 	}

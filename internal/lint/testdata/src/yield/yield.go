@@ -4,6 +4,7 @@
 package yield
 
 import (
+	"cache"
 	"mem"
 	"mvm"
 	"sched"
@@ -12,6 +13,8 @@ import (
 
 // Engine implements tm.Engine, so yieldlint checks this package.
 type Engine struct {
+	sys   *cache.System
+	h     *cache.Hierarchy
 	mem   *mvm.Memory
 	words mem.Dense[uint64]
 	lines mem.Paged[uint64]
@@ -131,4 +134,23 @@ func (e *Engine) AuditLines() uint64 {
 	var sum uint64
 	e.lines.Range(func(_ uint64, v *uint64) { sum += *v })
 	return sum
+}
+
+// PrivatePeek certifies a private hit without charging it: a private
+// cache access is a touch like any other.
+func (e *Engine) PrivatePeek(line mem.Line) bool { // want "exported entry points must charge in their own body"
+	_, ok := e.h.AccessPrivate(line)
+	return ok
+}
+
+// CommitCharged publishes behind its commit charge: covered.
+func (e *Engine) CommitCharged(t *sched.Thread, line mem.Line) {
+	t.Tick(e.h.Access(line))
+	e.sys.Publish(0, line)
+}
+
+// publishQuiet publishes with no charge on any path to it: the publish
+// invalidates other cores' caches, so it is flagged.
+func (e *Engine) publishQuiet(line mem.Line) { // want "without a reachable Tick/Stall yield point"
+	e.sys.Publish(0, line)
 }

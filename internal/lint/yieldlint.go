@@ -9,7 +9,8 @@ import (
 // yieldTouchMethods lists, per simulated-storage package (matched by
 // import-path suffix), the methods whose call constitutes a simulated
 // shared-memory access: multiversioned-memory reads/installs, cache
-// hierarchy accesses and invalidations, and the dense word/line tables
+// accesses (private hits included) and commit publishes and
+// invalidations, and the dense word/line tables
 // engines use as their backing store. Metadata getters (Config, Stats,
 // VersionCount) and host-side pool management (Release) are not touches.
 var yieldTouchMethods = map[string]map[string]bool{
@@ -20,10 +21,8 @@ var yieldTouchMethods = map[string]map[string]bool{
 		"Checkpoint": true, "Rollback": true,
 	},
 	"cache": {
-		"Access": true, "AccessVersioned": true,
-		"Invalidate": true, "InvalidateData": true,
-		"InvalidatePrivate": true, "InvalidateXlate": true,
-		"InvalidateVersions": true,
+		"Access": true, "AccessVersioned": true, "AccessPrivate": true,
+		"Invalidate": true, "Publish": true, "PublishVersioned": true,
 	},
 	"mem": {
 		"Load": true, "Store": true, "Slot": true, "Slice": true,

@@ -9,8 +9,6 @@ package sontm
 // original.
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -39,10 +37,6 @@ type slowTxn struct {
 	// charging is deterministic (map iteration is not).
 	writeOrder []mem.Line
 
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line.
-	selfBit uint64
 	// activeIdx is this transaction's slot in Engine.activeSlow while
 	// in flight (swap-remove bookkeeping).
 	activeIdx int
@@ -70,7 +64,6 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 			lo: 1, hi: maxSON,
 			readSet:    old.readSet,
 			lastRead:   noLine,
-			selfBit:    old.selfBit,
 			writeSet:   old.writeSet,
 			writeLog:   old.writeLog,
 			writeOrder: old.writeOrder[:0],
@@ -78,11 +71,10 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &slowTxn{
-			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
+			e: e, t: t, h: e.caches.Core(t.ID()), id: e.txnSeq,
 			lo: 1, hi: maxSON,
 			readSet:  make(map[mem.Line]struct{}),
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(t.ID()),
 			writeSet: make(map[mem.Line]struct{}),
 			writeLog: make(map[mem.Addr]uint64),
 		}
@@ -152,10 +144,6 @@ func (x *slowTxn) abortDoomed() error {
 func (x *slowTxn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
-	// Note before the Tick: the fill happens when Access evaluates,
-	// before the yield, so the presence record must be in place for any
-	// commit that interleaves with the yield.
-	x.e.presence.Note(line, x.selfBit)
 	x.t.Tick(x.h.Access(line))
 	if x.e.tracer != nil {
 		x.e.tracer.TxnRead(x.id, a, x.site)
@@ -183,7 +171,6 @@ func (x *slowTxn) ReadPromoted(a mem.Addr) uint64 { return x.Read(a) }
 func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
-	x.e.presence.Note(line, x.selfBit)
 	x.t.Tick(x.h.Access(line))
 	if x.e.tracer != nil {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
@@ -303,26 +290,11 @@ func (x *slowTxn) Commit() error {
 		x.e.words.Store(mem.WordIndex(a), v)
 	}
 	for _, line := range x.writeOrder {
-		// Re-note: another commit may have drained this core's bit, and
-		// the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		cost += x.h.Access(line) + x.e.cfg.HashCost
 		if wn := x.e.writeNums.Slot(uint64(line)); son > *wn {
 			*wn = son
 		}
-		// SONTM never performs versioned accesses, so only the data
-		// caches can hold the line; invalidate exactly the cores the
-		// presence filter says may hold it.
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidateData(line)
-			}
-		}
+		x.e.caches.Publish(x.t.ID(), line)
 	}
 	for line := range x.readSet {
 		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {

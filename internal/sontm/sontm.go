@@ -13,7 +13,9 @@
 // transactions that read any of those lines must serialize before it
 // (upper bound clamps), active transactions that wrote any of them must
 // serialize after it (lower bound raises). A transaction whose interval
-// empties can no longer be ordered and aborts.
+// empties can no longer be ordered and aborts. The write-back publishes
+// each line to the other cores' private caches through the engine's
+// cache.System.
 //
 // Access tracking follows the hardware SONTM assumes. Reads are per-line
 // bitmaps over transaction slots (aset.ReadHolds): each live transaction
@@ -36,7 +38,6 @@ package sontm
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/aset"
 	"repro/internal/cache"
@@ -91,18 +92,11 @@ const sonGap = 1 << 10
 
 // Engine is the SONTM baseline.
 type Engine struct {
-	cfg    Config
-	shared *cache.Shared
-	// hiers holds each core's private hierarchy, indexed by thread ID
-	// (IDs are dense, 0..n-1); nil until the thread first begins.
-	hiers  []*cache.Hierarchy
+	cfg Config
+	// caches is the simulated memory system; thread i runs on core i.
+	caches *cache.System
 	stats  tm.Stats
 	tracer tm.Tracer
-
-	// presence filters commit-time invalidation: only cores that
-	// actually accessed a written line are visited (see cache.Presence);
-	// the skipped invalidations are no-ops.
-	presence cache.Presence
 
 	// words, writeNums and readNums are paged tables keyed by word/line
 	// number: the simulated address space is dense (bump allocated),
@@ -152,11 +146,7 @@ type Engine struct {
 
 // New creates a SONTM engine.
 func New(cfg Config) *Engine {
-	e := &Engine{
-		cfg:      cfg,
-		shared:   cache.NewShared(cfg.Cache),
-		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
-	}
+	e := &Engine{cfg: cfg, caches: cache.NewSystem(cfg.Cache, cfg.ReferenceStore)}
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
 	}
@@ -198,51 +188,14 @@ func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.words.Load(mem.WordInde
 //sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
 func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { e.words.Store(mem.WordIndex(a), v) }
 
-func (e *Engine) hierarchy(t *sched.Thread) *cache.Hierarchy {
-	id := t.ID()
-	for id >= len(e.hiers) {
-		e.hiers = append(e.hiers, nil)
-	}
-	h := e.hiers[id]
-	if h == nil {
-		h = cache.NewHierarchy(e.cfg.Cache, e.shared)
-		e.hiers[id] = h
-	}
-	return h
-}
-
 // ReleaseCaches returns the simulated cache arrays to the scratch pool
 // the engine was configured with (no-op without one). The harness calls
 // it once the run's statistics have been extracted; the engine must not
 // run transactions afterwards.
-func (e *Engine) ReleaseCaches() {
-	for _, h := range e.hiers {
-		if h != nil {
-			h.Release()
-		}
-	}
-	e.hiers = nil
-	e.shared.Release()
-	e.presence.Release(e.cfg.Cache.Scratch)
-}
+func (e *Engine) ReleaseCaches() { e.caches.Release() }
 
 // CacheStats returns aggregate cache statistics over all cores.
-func (e *Engine) CacheStats() cache.Stats {
-	var s cache.Stats
-	for _, h := range e.hiers {
-		if h == nil {
-			continue
-		}
-		s.L1Hits += h.Stats.L1Hits
-		s.L2Hits += h.Stats.L2Hits
-		s.L3Hits += h.Stats.L3Hits
-		s.MemAccesses += h.Stats.MemAccesses
-		s.XlateHits += h.Stats.XlateHits
-		s.XlateMisses += h.Stats.XlateMisses
-		s.Accesses += h.Stats.Accesses
-	}
-	return s
-}
+func (e *Engine) CacheStats() cache.Stats { return e.caches.Stats() }
 
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: the active list is empty, every recycled
@@ -310,10 +263,6 @@ type txn struct {
 	// miss case.
 	writes aset.WriteLog
 
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line.
-	selfBit uint64
 	// activeIdx is this transaction's slot in Engine.active while
 	// in flight (swap-remove bookkeeping).
 	activeIdx int
@@ -351,10 +300,9 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &txn{
-			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
+			e: e, t: t, h: e.caches.Core(id), id: e.txnSeq,
 			lo: 1, hi: maxSON,
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(id),
 		}
 		e.lastTxn[id] = tx
 	}
@@ -443,10 +391,6 @@ func (x *txn) abortDoomed() error {
 func (x *txn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
-	// Note before the Tick: the fill happens when Access evaluates,
-	// before the yield, so the presence record must be in place for any
-	// commit that interleaves with the yield.
-	x.e.presence.Note(line, x.selfBit)
 	// Batchable: the effects below touch this transaction's reader bit,
 	// interval and write log, and the write-number and word tables,
 	// which change only inside writer commits. A commit fences and
@@ -482,7 +426,6 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 { return x.Read(a) }
 func (x *txn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
-	x.e.presence.Note(line, x.selfBit)
 	// From the first write on, the writer commit may follow the very
 	// next park, so the thread promises no slack. The write itself
 	// batches like a read: it only logs the store and raises this
@@ -629,26 +572,11 @@ func (x *txn) Commit() error {
 		}
 	}
 	for _, line := range x.writes.Lines() {
-		// Re-note: another commit may have drained this core's bit, and
-		// the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		cost += x.h.Access(line) + x.e.cfg.HashCost
 		if wn := x.e.writeNums.Slot(uint64(line)); son > *wn {
 			*wn = son
 		}
-		// SONTM never performs versioned accesses, so only the data
-		// caches can hold the line; invalidate exactly the cores the
-		// presence filter says may hold it.
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidateData(line)
-			}
-		}
+		x.e.caches.Publish(x.t.ID(), line)
 	}
 	for _, line := range x.readLines {
 		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {

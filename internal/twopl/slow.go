@@ -9,8 +9,6 @@ package twopl
 // this file: its value is being the unchanged original.
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sched"
@@ -56,11 +54,6 @@ type slowTxn struct {
 	// charging is deterministic (map iteration is not).
 	writeOrder []mem.Line
 
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line.
-	selfBit uint64
-
 	doomed   bool
 	doomKind tm.AbortKind
 	doomLine mem.Line
@@ -83,7 +76,6 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 			e: e, t: t, h: old.h, id: e.txnSeq,
 			readLines:  old.readLines[:0],
 			lastRead:   noLine,
-			selfBit:    old.selfBit,
 			writeLog:   old.writeLog,
 			writeSet:   old.writeSet,
 			writeOrder: old.writeOrder[:0],
@@ -91,9 +83,8 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &slowTxn{
-			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
+			e: e, t: t, h: e.caches.Core(t.ID()), id: e.txnSeq,
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(t.ID()),
 			writeLog: make(map[mem.Addr]uint64),
 			writeSet: make(map[mem.Line]struct{}),
 		}
@@ -168,10 +159,6 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
-	// Note before the Tick: the fill happens when Access evaluates,
-	// before the yield, so the presence record must be in place for any
-	// commit that interleaves with the yield.
-	x.e.presence.Note(line, x.selfBit)
 	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
 	if x.e.tracer != nil {
 		x.e.tracer.TxnRead(x.id, a, x.site)
@@ -207,7 +194,6 @@ func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
-	x.e.presence.Note(line, x.selfBit)
 	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
 	if x.e.tracer != nil {
 		x.e.tracer.TxnWrite(x.id, a, x.site)
@@ -311,24 +297,8 @@ func (x *slowTxn) Commit() error {
 		x.e.words.Store(mem.WordIndex(a), v)
 	}
 	for _, line := range x.writeOrder {
-		// Re-note: another commit may have drained this core's bit
-		// while we were stalled, and the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line))
-		// 2PL never performs versioned accesses, so only the data
-		// caches can hold the line (the translation caches and MVM
-		// partition are never filled); invalidate exactly the cores the
-		// presence filter says may hold it.
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidateData(line)
-			}
-		}
+		x.e.caches.Publish(x.t.ID(), line)
 	}
 	x.e.commitBusy = false
 	x.cleanup()

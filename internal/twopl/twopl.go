@@ -9,7 +9,9 @@
 // other reader and writer of the line. Read and write sets are perfect
 // (no-false-positive) bloom filters, modelled as exact sets. Commits
 // serialize on a commit token and write the speculative write log back to
-// memory; aborts discard the logs and restart in software.
+// memory, publishing each line to the other cores' private caches through
+// the engine's cache.System; aborts discard the logs and restart in
+// software.
 //
 // Access tracking follows the hardware it models, which keeps read bits
 // per cache line. Each live transaction owns a slot, and each line keeps a
@@ -86,20 +88,11 @@ const noLine = ^mem.Line(0)
 
 // Engine is the 2PL baseline.
 type Engine struct {
-	cfg    Config
-	shared *cache.Shared
-	// hiers holds each core's private hierarchy, indexed by thread ID
-	// (IDs are dense, 0..n-1); nil until the thread first begins.
-	hiers  []*cache.Hierarchy
+	cfg Config
+	// caches is the simulated memory system; thread i runs on core i.
+	caches *cache.System
 	stats  tm.Stats
 	tracer tm.Tracer
-
-	// presence filters commit-time invalidation: instead of broadcasting
-	// every written line to every other core, only cores that actually
-	// accessed the line since it was last invalidated are visited. The
-	// skipped invalidations are no-ops (see cache.Presence), so the
-	// filtered publish is observably identical.
-	presence cache.Presence
 
 	// words and writers are paged tables keyed by word/line number: the
 	// simulated address space is dense (bump allocated), and these sit
@@ -140,11 +133,7 @@ type Engine struct {
 
 // New creates a 2PL engine.
 func New(cfg Config) *Engine {
-	e := &Engine{
-		cfg:      cfg,
-		shared:   cache.NewShared(cfg.Cache),
-		presence: cache.NewPresence(cfg.Cache.Scratch, cfg.ReferenceStore),
-	}
+	e := &Engine{cfg: cfg, caches: cache.NewSystem(cfg.Cache, cfg.ReferenceStore)}
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
 	}
@@ -190,51 +179,14 @@ func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.words.Load(mem.WordInde
 //sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
 func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { e.words.Store(mem.WordIndex(a), v) }
 
-func (e *Engine) hierarchy(t *sched.Thread) *cache.Hierarchy {
-	id := t.ID()
-	for id >= len(e.hiers) {
-		e.hiers = append(e.hiers, nil)
-	}
-	h := e.hiers[id]
-	if h == nil {
-		h = cache.NewHierarchy(e.cfg.Cache, e.shared)
-		e.hiers[id] = h
-	}
-	return h
-}
-
 // ReleaseCaches returns the simulated cache arrays to the scratch pool
 // the engine was configured with (no-op without one). The harness calls
 // it once the run's statistics have been extracted; the engine must not
 // run transactions afterwards.
-func (e *Engine) ReleaseCaches() {
-	for _, h := range e.hiers {
-		if h != nil {
-			h.Release()
-		}
-	}
-	e.hiers = nil
-	e.shared.Release()
-	e.presence.Release(e.cfg.Cache.Scratch)
-}
+func (e *Engine) ReleaseCaches() { e.caches.Release() }
 
 // CacheStats returns aggregate cache statistics over all cores.
-func (e *Engine) CacheStats() cache.Stats {
-	var s cache.Stats
-	for _, h := range e.hiers {
-		if h == nil {
-			continue
-		}
-		s.L1Hits += h.Stats.L1Hits
-		s.L2Hits += h.Stats.L2Hits
-		s.L3Hits += h.Stats.L3Hits
-		s.MemAccesses += h.Stats.MemAccesses
-		s.XlateHits += h.Stats.XlateHits
-		s.XlateMisses += h.Stats.XlateMisses
-		s.Accesses += h.Stats.Accesses
-	}
-	return s
-}
+func (e *Engine) CacheStats() cache.Stats { return e.caches.Stats() }
 
 // AuditAccessSets verifies that no live access-set state survives outside
 // a running transaction: recycled transaction objects hold empty sets, no
@@ -300,11 +252,6 @@ type txn struct {
 	// first-write order and the logged words in one structure.
 	writes aset.WriteLog
 
-	// selfBit is this thread's presence bit (cache.CoreBit of its ID),
-	// noted on every access so committers know this core may hold the
-	// line.
-	selfBit uint64
-
 	doomed   bool
 	doomKind tm.AbortKind
 	doomLine mem.Line
@@ -338,9 +285,8 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &txn{
-			e: e, t: t, h: e.hierarchy(t), id: e.txnSeq,
+			e: e, t: t, h: e.caches.Core(id), id: e.txnSeq,
 			lastRead: noLine,
-			selfBit:  cache.CoreBit(id),
 		}
 		e.lastTxn[id] = tx
 	}
@@ -441,10 +387,6 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
-	// Note before the Tick: the fill happens when Access evaluates,
-	// before the yield, so the presence record must be in place for any
-	// commit that interleaves with the yield.
-	x.e.presence.Note(line, x.selfBit)
 	lat, hinted := x.access(line, x.e.batch && x.writes.Len() == 0 && x.e.writers.Load(uint64(line)) == nil)
 	if hinted {
 		x.t.TickHinted(lat + x.e.cfg.BroadcastCost)
@@ -481,7 +423,6 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
-	x.e.presence.Note(line, x.selfBit)
 	// The get-exclusive dooms other transactions right after this
 	// charge, and so may every later access and the commit: from the
 	// first write on the thread promises no slack.
@@ -598,24 +539,8 @@ func (x *txn) Commit() error {
 		}
 	}
 	for _, line := range x.writes.Lines() {
-		// Re-note: another commit may have drained this core's bit
-		// while we were stalled, and the Access below re-fills the line.
-		x.e.presence.Note(line, x.selfBit)
 		x.t.Tick(x.h.Access(line))
-		// 2PL never performs versioned accesses, so only the data
-		// caches can hold the line (the translation caches and MVM
-		// partition are never filled); invalidate exactly the cores the
-		// presence filter says may hold it.
-		for others := x.e.presence.Drain(line, x.selfBit); others != 0; {
-			id := bits.TrailingZeros64(others)
-			others &^= 1 << uint(id)
-			x.e.hiers[id].InvalidateData(line)
-		}
-		for id := 64; id < len(x.e.hiers); id++ {
-			if h := x.e.hiers[id]; h != nil && id != x.t.ID() {
-				h.InvalidateData(line)
-			}
-		}
+		x.e.caches.Publish(x.t.ID(), line)
 	}
 	x.e.commitBusy = false
 	x.cleanup()
