@@ -117,10 +117,11 @@ var simSourceDirs = []string{
 }
 
 // engineSourceDirs maps lower-cased registered engine names to the
-// directories that define them. SI-TM and SSI-TM share internal/core.
+// directories that define them. SI-TM and SSI-TM share internal/core;
+// 2PL and SONTM share the eager base, internal/eager.
 var engineSourceDirs = map[string][]string{
-	"2pl":    {"internal/twopl"},
-	"sontm":  {"internal/sontm"},
+	"2pl":    {"internal/twopl", "internal/eager"},
+	"sontm":  {"internal/sontm", "internal/eager"},
 	"si-tm":  {"internal/core"},
 	"ssi-tm": {"internal/core"},
 }

@@ -1,9 +1,13 @@
 package exp
 
 import (
+	"go/build"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 // writeTree lays out a synthetic module checkout: go.mod plus one .go
@@ -199,5 +203,70 @@ func TestCurrentProvenanceFingerprintsThisCheckout(t *testing.T) {
 	}
 	if q := CurrentProvenance(); q.Sim != p.Sim {
 		t.Fatal("CurrentProvenance must be stable within a process")
+	}
+}
+
+func TestEagerEditInvalidatesBothEagerEngines(t *testing.T) {
+	// 2PL and SONTM share internal/eager, so an eager edit invalidates
+	// both — and neither SI engine.
+	root := writeTree(t)
+	before := keysFor(ProvenanceAt(root))
+	edit(t, root, "internal/eager/engine.go", "package p // edited\n")
+	after := keysFor(ProvenanceAt(root))
+	for engine, want := range map[string]bool{"2PL": true, "SONTM": true, "SI-TM": false, "SSI-TM": false} {
+		if changed := after[engine] != before[engine]; changed != want {
+			t.Errorf("%s key changed=%v, want %v", engine, changed, want)
+		}
+	}
+}
+
+// TestSimClosureIsFingerprintedAndLinted walks the repro/internal import
+// closure of the engine and workload packages with go/build, offline:
+// every package in it feeds simulated results, so it must be
+// fingerprinted (simSourceDirs or engineSourceDirs) — or a cache would
+// serve stale cells after an edit to it — and held to detlint
+// (lint.SimPackagePaths).
+func TestSimClosureIsFingerprintedAndLinted(t *testing.T) {
+	root := moduleRoot()
+	if root == "" {
+		t.Skip("source tree unavailable")
+	}
+	fingerprinted := map[string]bool{}
+	for _, dir := range simSourceDirs {
+		fingerprinted[dir] = true
+	}
+	queue := []string{"internal/micro", "internal/stamp", "internal/oltp"}
+	for _, dirs := range engineSourceDirs {
+		for _, dir := range dirs {
+			fingerprinted[dir] = true
+			queue = append(queue, dir)
+		}
+	}
+	seen := map[string]bool{}
+	for len(queue) > 0 {
+		dir := queue[0]
+		queue = queue[1:]
+		if seen[dir] {
+			continue
+		}
+		seen[dir] = true
+		if !fingerprinted[dir] {
+			t.Errorf("%s is in the simulation's import closure but in neither simSourceDirs nor engineSourceDirs", dir)
+		}
+		if !lint.SimPackagePaths["repro/"+dir] {
+			t.Errorf("%s is in the simulation's import closure but missing from lint.SimPackagePaths", dir)
+		}
+		pkg, err := build.ImportDir(filepath.Join(root, filepath.FromSlash(dir)), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range pkg.Imports {
+			if rel, ok := strings.CutPrefix(imp, "repro/"); ok && strings.HasPrefix(rel, "internal/") {
+				queue = append(queue, rel)
+			}
+		}
+	}
+	if !seen["internal/eager"] || !seen["internal/sched"] {
+		t.Fatalf("walk missed known dependencies: %v", seen)
 	}
 }

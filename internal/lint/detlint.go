@@ -19,6 +19,7 @@ var SimPackagePaths = map[string]bool{
 	"repro/internal/core":   true,
 	"repro/internal/twopl":  true,
 	"repro/internal/sontm":  true,
+	"repro/internal/eager":  true,
 	"repro/internal/mvm":    true,
 	"repro/internal/cache":  true,
 	"repro/internal/mem":    true,

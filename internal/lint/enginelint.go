@@ -13,10 +13,12 @@ import (
 // literal of an engine type in consumer code. Literals are allowed only
 // inside the engine's defining package (where its New constructor lives)
 // and in register.go files (the registration glue). Access tracking
-// (PR 5): inside packages that define an engine, per-transaction
-// read/write sets are the signature-backed tables of internal/aset, not
-// mem.Line-keyed Go maps; map-based tracking is allowed only in slow.go,
-// the verbatim reference oracle behind EngineOptions.ReferenceSets.
+// (PR 5): inside engine packages and packages that import the
+// scheduler — internal/eager holds 2PL's and SONTM's sets —
+// per-transaction read/write sets are the signature-backed tables of
+// internal/aset, not mem.Line-keyed Go maps; map-based tracking is
+// allowed only in slow.go, the verbatim reference oracle behind
+// EngineOptions.ReferenceSets.
 var EngineLint = &Analyzer{
 	Name: "enginelint",
 	Doc: `engines must be constructed through the tm registry and track accesses with internal/aset
@@ -40,7 +42,7 @@ func runEngineLint(pass *Pass) error {
 	if iface == nil {
 		return nil // package cannot see tm.Engine, so no engine types either
 	}
-	if packageDefinesEngine(pass.Pkg, iface) {
+	if packageDefinesEngine(pass.Pkg, iface) || runsOnSimThreads(pass.Pkg) {
 		checkLineMaps(pass)
 	}
 	for _, f := range pass.Files {

@@ -33,7 +33,8 @@ var yieldTouchMethods = map[string]map[string]bool{
 // YieldLint is the static soundness prerequisite for the model checker's
 // claim that charged yield points are the complete set of schedule
 // decision points (see DESIGN.md "Model checking"): inside a package
-// that defines a tm.Engine, every simulated shared-memory access must be
+// that defines a tm.Engine or otherwise runs on simulated threads (the
+// eager base of 2PL and SONTM), every simulated shared-memory access must be
 // reachable only through functions that charge cycles on the simulated
 // thread (sched.Thread.Tick / Stall — the only places the conductor can
 // switch threads). An access reachable without a yield point is a hidden
@@ -44,7 +45,7 @@ var YieldLint = &Analyzer{
 
 sitm-check enumerates exactly the interleavings the conductor admits, and
 the conductor only switches threads at Tick/Stall. A function in an
-engine package that reads or writes simulated storage (mvm, the cache
+engine package, or in a package that imports the scheduler, that reads or writes simulated storage (mvm, the cache
 hierarchy, the dense word tables) without charging cycles — directly or
 in every intra-package caller — is a memory access the enumeration never
 interleaves against: the model checker's verdicts would be unsound.
@@ -68,8 +69,7 @@ type yieldFunc struct {
 }
 
 func runYieldLint(pass *Pass) error {
-	iface := findEngineInterface(pass.Pkg)
-	if iface == nil || !packageDefinesEngine(pass.Pkg, iface) {
+	if !runsOnSimThreads(pass.Pkg) {
 		return nil
 	}
 
@@ -163,6 +163,18 @@ func runYieldLint(pass *Pass) error {
 			yf.decl.Name.Name, yf.touch.Pkg().Name(), yf.touch.Name(), how)
 	}
 	return nil
+}
+
+// runsOnSimThreads reports whether pkg imports the scheduler: every
+// engine package does (Begin takes a *sched.Thread), and so does the
+// eager base of 2PL and SONTM. Storage packages (mvm, cache) do not.
+func runsOnSimThreads(pkg *types.Package) bool {
+	for _, imp := range pkg.Imports() {
+		if p := imp.Path(); p == "sched" || strings.HasSuffix(p, "/sched") {
+			return true
+		}
+	}
+	return false
 }
 
 // isYieldCharge matches sched.Thread's charging methods — the operations

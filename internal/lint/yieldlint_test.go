@@ -16,6 +16,13 @@ func TestYieldLint(t *testing.T) {
 	analysistest.RunTest(t, analysistest.Testdata(), lint.YieldLint, "yield")
 }
 
+// TestYieldLintCoversSharedBase: a package that defines no engine but
+// imports the scheduler (the eager base 2PL and SONTM embed) is inside
+// the rule, and its exported helpers must charge in their own body.
+func TestYieldLintCoversSharedBase(t *testing.T) {
+	analysistest.RunTest(t, analysistest.Testdata(), lint.YieldLint, "shared")
+}
+
 // TestYieldLintSkipsNonEnginePackages: a package without a tm.Engine
 // implementation is outside the rule even if it calls storage methods
 // (the mvm fixture itself, whose map walks are its own business).

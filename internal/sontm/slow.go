@@ -10,6 +10,7 @@ package sontm
 
 import (
 	"repro/internal/cache"
+	"repro/internal/eager"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/tm"
@@ -51,7 +52,7 @@ var _ tm.Txn = (*slowTxn)(nil)
 
 // beginSlow is the reference-path tm.Engine.Begin.
 func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
-	e.txnSeq++
+	e.TxnSeq++
 	var tx *slowTxn
 	if old := e.lastTxnSlow[t.ID()]; old != nil && old.finished {
 		// clear keeps the maps' grown capacity, so steady-state
@@ -60,10 +61,10 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		clear(old.writeSet)
 		clear(old.writeLog)
 		*old = slowTxn{
-			e: e, t: t, h: old.h, id: e.txnSeq,
+			e: e, t: t, h: old.h, id: e.TxnSeq,
 			lo: 1, hi: maxSON,
 			readSet:    old.readSet,
-			lastRead:   noLine,
+			lastRead:   eager.NoLine,
 			writeSet:   old.writeSet,
 			writeLog:   old.writeLog,
 			writeOrder: old.writeOrder[:0],
@@ -71,10 +72,10 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &slowTxn{
-			e: e, t: t, h: e.caches.Core(t.ID()), id: e.txnSeq,
+			e: e, t: t, h: e.Caches.Core(t.ID()), id: e.TxnSeq,
 			lo: 1, hi: maxSON,
 			readSet:  make(map[mem.Line]struct{}),
-			lastRead: noLine,
+			lastRead: eager.NoLine,
 			writeSet: make(map[mem.Line]struct{}),
 			writeLog: make(map[mem.Addr]uint64),
 		}
@@ -82,8 +83,8 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 	}
 	tx.activeIdx = len(e.activeSlow)
 	e.activeSlow = append(e.activeSlow, tx)
-	if e.tracer != nil {
-		e.tracer.TxnBegin(tx.id, t.ID())
+	if e.Tracer != nil {
+		e.Tracer.TxnBegin(tx.id, t.ID())
 	}
 	t.Tick(2)
 	return tx
@@ -132,9 +133,9 @@ func (x *slowTxn) checkDoom() {
 // used on the Commit path.
 func (x *slowTxn) abortDoomed() error {
 	x.cleanup()
-	x.e.stats.Count(tm.AbortOrder)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(tm.AbortOrder)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	return &tm.AbortError{Kind: tm.AbortOrder, Line: x.doomLine}
 }
@@ -145,8 +146,8 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.t.Tick(x.h.Access(line))
-	if x.e.tracer != nil {
-		x.e.tracer.TxnRead(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnRead(x.id, a, x.site)
 	}
 	if line != x.lastRead {
 		x.readSet[line] = struct{}{}
@@ -159,7 +160,7 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 			return v
 		}
 	}
-	return x.e.words.Load(mem.WordIndex(a))
+	return x.e.Words.Load(mem.WordIndex(a))
 }
 
 // ReadPromoted implements tm.Txn; SONTM is serializable, so it is an
@@ -172,8 +173,8 @@ func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.t.Tick(x.h.Access(line))
-	if x.e.tracer != nil {
-		x.e.tracer.TxnWrite(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnWrite(x.id, a, x.site)
 	}
 	// One map operation instead of probe-then-insert: the length delta
 	// reveals whether the assignment was a first write.
@@ -204,9 +205,9 @@ func (x *slowTxn) Abort() {
 		return
 	}
 	x.cleanup()
-	x.e.stats.Count(tm.AbortExplicit)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(tm.AbortExplicit)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	x.t.Tick(2)
 }
@@ -232,10 +233,10 @@ func (x *slowTxn) Commit() error {
 			}
 		}
 		x.cleanup()
-		x.e.stats.Commits++
-		x.e.stats.ReadOnly++
-		if x.e.tracer != nil {
-			x.e.tracer.TxnCommit(x.id)
+		x.e.Stats().Commits++
+		x.e.Stats().ReadOnly++
+		if x.e.Tracer != nil {
+			x.e.Tracer.TxnCommit(x.id)
 		}
 		x.t.Tick(2)
 		return nil
@@ -287,14 +288,14 @@ func (x *slowTxn) Commit() error {
 	// Write back and tag committed writes with the SON in the global
 	// write-numbers hashtable.
 	for a, v := range x.writeLog {
-		x.e.words.Store(mem.WordIndex(a), v)
+		x.e.Words.Store(mem.WordIndex(a), v)
 	}
 	for _, line := range x.writeOrder {
 		cost += x.h.Access(line) + x.e.cfg.HashCost
 		if wn := x.e.writeNums.Slot(uint64(line)); son > *wn {
 			*wn = son
 		}
-		x.e.caches.Publish(x.t.ID(), line)
+		x.e.Caches.Publish(x.t.ID(), line)
 	}
 	for line := range x.readSet {
 		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
@@ -302,9 +303,9 @@ func (x *slowTxn) Commit() error {
 		}
 	}
 	x.cleanup()
-	x.e.stats.Commits++
-	if x.e.tracer != nil {
-		x.e.tracer.TxnCommit(x.id)
+	x.e.Stats().Commits++
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnCommit(x.id)
 	}
 	x.t.Tick(cost)
 	return nil

@@ -1,7 +1,9 @@
 // Package sontm implements the paper's second baseline (§6.1): the SONTM
 // conflict-serializable HTM of Aydonat and Abdelrahman, which commits
 // transactions in the presence of conflicting accesses as long as a valid
-// serialization order exists.
+// serialization order exists. It adds to the shared eager HTM
+// (internal/eager) the SON-interval rule, the active list and the
+// write-number and read-history tables.
 //
 // Each transaction maintains a serializability-order-number (SON) interval
 // [lo, hi]. Reads-from dependencies raise the lower bound (a transaction
@@ -13,19 +15,10 @@
 // transactions that read any of those lines must serialize before it
 // (upper bound clamps), active transactions that wrote any of them must
 // serialize after it (lower bound raises). A transaction whose interval
-// empties can no longer be ordered and aborts. The write-back publishes
-// each line to the other cores' private caches through the engine's
-// cache.System.
-//
-// Access tracking follows the hardware SONTM assumes. Reads are per-line
-// bitmaps over transaction slots (aset.ReadHolds): each live transaction
-// owns a slot, a read sets its bit, and the commit broadcast tests a
-// concurrent transaction's bit on each written line. A finishing
-// transaction clears its bits by walking its read lines. The write set is
-// an aset.WriteLog, which the broadcast probes with a one-word signature
-// AND in the common miss case. The pre-aset map-based engine is kept
-// verbatim in slow.go as a differential oracle behind
-// Config.ReferenceSets.
+// empties can no longer be ordered and aborts. The broadcast tests a
+// peer's reader bit and probes its write log's signature. The pre-aset
+// map-based engine is kept verbatim in slow.go as a differential oracle
+// behind Config.ReferenceSets.
 //
 // Reads and writes that hit this core's private caches batch under the
 // conductor's horizon (sched.Thread.TickHinted): their after-charge
@@ -39,8 +32,11 @@ package sontm
 import (
 	"fmt"
 
-	"repro/internal/aset"
+	// Imported so the compiler has the bodies of the aset methods that
+	// Read and Write inline through the embedded eager types.
+	_ "repro/internal/aset"
 	"repro/internal/cache"
+	"repro/internal/eager"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/tm"
@@ -66,16 +62,9 @@ type Config struct {
 	HistoryCheckCost uint64
 	// CommitOverhead is the fixed commit setup cost.
 	CommitOverhead uint64
-	// ReferenceSets routes transactions through the verbatim map-based
-	// access-set implementation (slow.go), the differential oracle for
-	// the aset fast path. Results are bit-identical to the default; only
-	// simulator wall time changes.
-	ReferenceSets bool
-	// ReferenceStore backs the per-word values and per-line SON tables
-	// with the retained dense mem store instead of the paged one, the
-	// differential oracle for the paged backing. Results are
-	// bit-identical to the default; only memory footprint changes.
-	ReferenceStore bool
+	// ReferenceSets (slow.go's map-based sets) and ReferenceStore (dense
+	// tables) select the differential oracles; results are identical.
+	ReferenceSets, ReferenceStore bool
 }
 
 // DefaultConfig returns the evaluated configuration.
@@ -92,19 +81,8 @@ const sonGap = 1 << 10
 
 // Engine is the SONTM baseline.
 type Engine struct {
+	eager.Engine
 	cfg Config
-	// caches is the simulated memory system; thread i runs on core i.
-	caches *cache.System
-	stats  tm.Stats
-	tracer tm.Tracer
-
-	// words, writeNums and readNums are paged tables keyed by word/line
-	// number: the simulated address space is dense (bump allocated),
-	// and words/writeNums sit on the per-access hot path where a map
-	// hash dominated. The paged backing keeps the heap proportional to
-	// touched lines at serving-scale footprints (Config.ReferenceStore
-	// retains the dense backing as the differential oracle).
-	words mem.Paged[uint64]
 	// writeNums holds the SON of the last committed writer per line —
 	// SONTM's global write-numbers hashtable.
 	writeNums mem.Paged[uint64]
@@ -113,277 +91,121 @@ type Engine struct {
 	// models.
 	readNums mem.Paged[uint64]
 
-	// readers holds each line's in-flight readers as a bitmap over the
-	// transactions' slots.
-	readers aset.ReadHolds[*txn]
-
 	// active lists the in-flight transactions. A slice, not a set: the
 	// commit broadcast walks it once per written line, and every
 	// broadcast effect (interval raises/clamps, doom flags) is
 	// commutative, so the swap-remove order is unobservable.
 	active []*txn
-	txnSeq uint64
-
-	// lastTxn recycles each thread's most recent transaction object,
-	// indexed by thread ID; cleanup removes a finished transaction from
-	// active and resets its sets, so the object and its grown tables can
-	// be reused without rehash churn.
-	lastTxn []*txn
 
 	// Reference map-based implementation state (slow.go), used only when
 	// cfg.ReferenceSets.
 	activeSlow  []*slowTxn
 	lastTxnSlow map[int]*slowTxn
-
-	commitBusy bool
-
-	// batch enables the horizon-batched access path (sched.TickHinted):
-	// the fast access sets and cache model and no tracer. batchable
-	// holds the configuration-derived part; SetTracer recomputes batch.
-	batch     bool
-	batchable bool
 }
 
-// New creates a SONTM engine.
+// New creates a SONTM engine. Its read-phase slack is L1Latency: the
+// writer commit, whose broadcast dooms peers at the committer's park
+// position, lies behind at least one write charge of L1Latency or more.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg, caches: cache.NewSystem(cfg.Cache, cfg.ReferenceStore)}
+	e := &Engine{cfg: cfg}
+	e.Init("SONTM", cfg.Cache, cfg.ReferenceStore, cfg.Cache.L1Latency, !cfg.ReferenceSets && !cfg.Cache.Reference)
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
 	}
 	if cfg.ReferenceStore {
-		e.words.SetReference()
 		e.writeNums.SetReference()
 		e.readNums.SetReference()
-		e.readers.SetReference()
 	}
-	e.batchable = !cfg.ReferenceSets && !cfg.Cache.Reference
-	e.batch = e.batchable
 	return e
 }
 
-// Name implements tm.Engine.
-func (e *Engine) Name() string { return "SONTM" }
-
-// Stats implements tm.Engine.
-func (e *Engine) Stats() *tm.Stats { return &e.stats }
-
-// Promote implements tm.Engine; SONTM is serializable, so promotion is a
-// no-op.
-func (e *Engine) Promote(string) {}
-
-// SetTracer implements tm.Engine. Tracing pins the per-access event
-// order, so it also disables the horizon-batched access path.
-func (e *Engine) SetTracer(tr tm.Tracer) {
-	e.tracer = tr
-	e.batch = e.batchable && tr == nil
-}
-
-// NonTxRead implements tm.Engine.
-//
-//sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
-func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.words.Load(mem.WordIndex(a)) }
-
-// NonTxWrite implements tm.Engine.
-//
-//sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
-func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { e.words.Store(mem.WordIndex(a), v) }
-
-// ReleaseCaches returns the simulated cache arrays to the scratch pool
-// the engine was configured with (no-op without one). The harness calls
-// it once the run's statistics have been extracted; the engine must not
-// run transactions afterwards.
-func (e *Engine) ReleaseCaches() { e.caches.Release() }
-
-// CacheStats returns aggregate cache statistics over all cores.
-func (e *Engine) CacheStats() cache.Stats { return e.caches.Stats() }
-
-// AuditAccessSets verifies that no live access-set state survives outside
-// a running transaction: the active list is empty, every recycled
-// transaction object holds empty sets, no line holds a reader bit and
-// every slot is free. It reports the lowest offending thread or line.
-// tmtest calls it after each
-// conformance cell. The reference (map-based) path keeps the pre-aset
-// engine's own lifecycle — maps are cleared at Begin — so it is not
-// audited.
+// AuditAccessSets checks eager.Engine.Audit and an empty active list
+// after quiescence (the reference path leaves both empty).
 func (e *Engine) AuditAccessSets() error {
-	if e.cfg.ReferenceSets {
-		return nil
-	}
 	if n := len(e.active); n != 0 {
-		return fmt.Errorf("sontm: %d transactions still active after quiescence", n)
+		return fmt.Errorf("SONTM: %d transactions still active after quiescence", n)
 	}
-	for id, tx := range e.lastTxn {
-		if tx == nil {
-			continue
-		}
-		if !tx.finished {
-			return fmt.Errorf("sontm: thread %d transaction unfinished", id)
-		}
-		if n := len(tx.readLines); n != 0 {
-			return fmt.Errorf("sontm: thread %d leaked %d read lines", id, n)
-		}
-		if n := tx.writes.Len(); n != 0 {
-			return fmt.Errorf("sontm: thread %d leaked %d write-set lines", id, n)
-		}
-	}
-	if err := e.readers.Audit(); err != nil {
-		return fmt.Errorf("sontm: %v after quiescence", err)
-	}
-	return nil
+	return e.Audit()
 }
-
-// noLine is the lastRead sentinel: no real line has this number, so a
-// fresh transaction's first read always takes the set path.
-const noLine = ^mem.Line(0)
 
 // txn is one SONTM transaction attempt.
 type txn struct {
-	e  *Engine
-	t  *sched.Thread
-	h  *cache.Hierarchy
-	id uint64
+	eager.Txn
+	e *Engine
 
 	lo, hi uint64 // SON interval, inclusive
-
-	// slot is this transaction's bit in every line's reader bitmap,
-	// owned from Begin until cleanup.
-	slot int
-	// readLines lists the lines this transaction has read, each once, in
-	// first-read order: commit records them in readNums and cleanup
-	// clears its bit on them.
-	readLines []mem.Line
-	// lastRead memoises the line of the previous Read: setting the
-	// reader bit is idempotent and never revoked mid-transaction (commit
-	// broadcasts only test it), so a repeat read of the same line skips
-	// the bitmap.
-	lastRead mem.Line
-	// writes buffers the speculative stores: line membership,
-	// first-write order and the logged words in one structure. Commit
-	// broadcasts probe it with a one-word signature AND in the common
-	// miss case.
-	writes aset.WriteLog
 
 	// activeIdx is this transaction's slot in Engine.active while
 	// in flight (swap-remove bookkeeping).
 	activeIdx int
-
-	doomed   bool
-	doomLine mem.Line
-	finished bool
-	site     string
 }
-
-var _ tm.Txn = (*txn)(nil)
 
 // Begin implements tm.Engine.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	if e.cfg.ReferenceSets {
 		return e.beginSlow(t)
 	}
-	e.txnSeq++
-	var tx *txn
-	id := t.ID()
-	for id >= len(e.lastTxn) {
-		e.lastTxn = append(e.lastTxn, nil)
+	tx, _ := e.Recycle(t.ID()).(*txn)
+	if tx == nil {
+		tx = &txn{e: e}
 	}
-	if old := e.lastTxn[id]; old != nil && old.finished {
-		// The object's sets were Reset when it finished, keeping their
-		// grown capacity. The thread object can differ across scheduler
-		// runs even for the same thread ID, so it is rebound.
-		old.t = t
-		old.id = e.txnSeq
-		old.lo, old.hi = 1, maxSON
-		old.lastRead = noLine
-		old.doomed, old.doomLine = false, 0
-		old.finished = false
-		old.site = ""
-		tx = old
-	} else {
-		tx = &txn{
-			e: e, t: t, h: e.caches.Core(id), id: e.txnSeq,
-			lo: 1, hi: maxSON,
-			lastRead: noLine,
-		}
-		e.lastTxn[id] = tx
-	}
-	tx.slot = e.readers.Take(tx)
-	tx.activeIdx = len(e.active)
+	tx.lo, tx.hi, tx.activeIdx = 1, maxSON, len(e.active)
 	e.active = append(e.active, tx)
-	// Read-phase slack: the writer commit, whose broadcast dooms peers
-	// at the committer's park position, lies behind at least one write
-	// charge of L1Latency or more.
-	t.SetSlack(e.cfg.Cache.L1Latency)
-	if e.tracer != nil {
-		e.tracer.TxnBegin(tx.id, t.ID())
-	}
-	t.Tick(2)
+	e.Open(&tx.Txn, tx, t)
 	return tx
 }
 
-// Site implements tm.Txn.
-func (x *txn) Site(s string) tm.Txn { x.site = s; return x }
-
-// Fence implements tm.Txn (see sched.Thread.Fence).
-func (x *txn) Fence() { x.t.Fence() }
-
 // access performs the access to line for a charge through TickHinted
 // and returns its latency. Past the inline bound only a hit in this
-// core's L1 or L2 (cache.Hierarchy.AccessPrivate) may run inside the
-// batched quantum; a miss would reach the shared L3, so it fences first
-// and runs at the per-event point, as does every access of a thread
-// that still leads. The caller's after-charge effects are certified
-// either way.
+// core's L1 or L2 may run inside the batched quantum; a miss would reach
+// the shared L3, so it fences first and runs at the per-event point.
 func (x *txn) access(line mem.Line) uint64 {
-	if !x.t.Leads() {
-		if lat, ok := x.h.AccessPrivate(line); ok {
+	if !x.Thread.Leads() {
+		if lat, ok := x.Hier.AccessPrivate(line); ok {
 			return lat
 		}
-		x.t.Fence()
+		x.Thread.Fence()
 	}
-	return x.h.Access(line)
+	return x.Hier.Access(line)
 }
 
-// raiseLo raises the lower bound; the interval emptying dooms the txn.
+// raiseLo raises the lower bound and clampHi lowers the upper one; the
+// interval emptying dooms the txn, reporting the latest line.
 func (x *txn) raiseLo(v uint64, line mem.Line) {
 	if v > x.lo {
 		x.lo = v
 	}
 	if x.lo > x.hi {
-		x.doomed = true
-		x.doomLine = line
+		x.Doomed, x.DoomLine = true, line
 	}
 }
 
-// clampHi lowers the upper bound; the interval emptying dooms the txn.
 func (x *txn) clampHi(v uint64, line mem.Line) {
 	if v < x.hi {
 		x.hi = v
 	}
 	if x.lo > x.hi {
-		x.doomed = true
-		x.doomLine = line
+		x.Doomed, x.DoomLine = true, line
 	}
 }
 
 // checkDoom unwinds (via the tm abort signal) if the SON interval has
 // emptied; used on the Read/Write paths.
 func (x *txn) checkDoom() {
-	if !x.doomed {
-		return
+	if x.Doomed {
+		x.abortDoomed()
+		tm.SignalAbort(tm.AbortOrder, x.DoomLine)
 	}
-	x.abortDoomed()
-	tm.SignalAbort(tm.AbortOrder, x.doomLine)
 }
 
-// abortDoomed finalises a doomed transaction and returns its abort error;
-// used on the Commit path.
+// abortDoomed aborts a doomed transaction and returns its abort error;
+// it stays out of line so that checkDoom inlines under any profile.
+//
+//go:noinline
 func (x *txn) abortDoomed() error {
-	x.cleanup()
-	x.e.stats.Count(tm.AbortOrder)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
-	}
-	return &tm.AbortError{Kind: tm.AbortOrder, Line: x.doomLine}
+	x.leave()
+	x.Aborted(tm.AbortOrder)
+	return &tm.AbortError{Kind: tm.AbortOrder, Line: x.DoomLine}
 }
 
 // Read implements tm.Txn: the transaction must serialize after the
@@ -395,26 +217,21 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	// interval and write log, and the write-number and word tables,
 	// which change only inside writer commits. A commit fences and
 	// audits, and a parked peer's commit lies behind its published slack.
-	if x.e.batch {
-		x.t.TickHinted(x.access(line))
+	if x.e.Batch {
+		x.Thread.TickHinted(x.access(line))
 	} else {
-		x.t.Tick(x.h.Access(line))
+		x.Thread.Tick(x.Hier.Access(line))
 	}
-	if x.e.tracer != nil {
-		x.e.tracer.TxnRead(x.id, a, x.site)
-	}
-	if line != x.lastRead {
-		if x.e.readers.Add(x.slot, line) {
-			x.readLines = append(x.readLines, line)
-		}
-		x.lastRead = line
+	x.TraceRead(a)
+	if line != x.LastRead {
+		x.AddRead(line)
 	}
 	x.raiseLo(x.e.writeNums.Load(uint64(line))+1, line)
 	x.checkDoom()
-	if v, ok := x.writes.Load(a); ok {
+	if v, ok := x.Writes.Load(a); ok {
 		return v
 	}
-	return x.e.words.Load(mem.WordIndex(a))
+	return x.e.Words.Load(mem.WordIndex(a))
 }
 
 // ReadPromoted implements tm.Txn; SONTM is serializable, so it is an
@@ -430,26 +247,21 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	// next park, so the thread promises no slack. The write itself
 	// batches like a read: it only logs the store and raises this
 	// transaction's own lower bound.
-	x.t.SetSlack(0)
-	if x.e.batch {
-		x.t.TickHinted(x.access(line))
+	x.Thread.SetSlack(0)
+	if x.e.Batch {
+		x.Thread.TickHinted(x.access(line))
 	} else {
-		x.t.Tick(x.h.Access(line))
+		x.Thread.Tick(x.Hier.Access(line))
 	}
-	if x.e.tracer != nil {
-		x.e.tracer.TxnWrite(x.id, a, x.site)
-	}
-	x.writes.Store(a, v)
+	x.TraceWrite(a)
+	x.Writes.Store(a, v)
 	x.raiseLo(x.e.writeNums.Load(uint64(line))+1, line)
 	x.checkDoom()
 }
 
-// cleanup removes the transaction from the active list, clears its reader
-// bits, frees its slot and resets its sets in O(touched), keeping
-// capacity for the next incarnation. The thread's next writer commit
-// lies in a later transaction, so the read-phase slack returns.
-func (x *txn) cleanup() {
-	x.t.SetSlack(x.e.cfg.Cache.L1Latency)
+// leave removes the transaction from the active list; eager.Txn's
+// Aborted and Committed release the rest.
+func (x *txn) leave() {
 	a := x.e.active
 	last := len(a) - 1
 	moved := a[last]
@@ -457,23 +269,25 @@ func (x *txn) cleanup() {
 	moved.activeIdx = x.activeIdx
 	a[last] = nil
 	x.e.active = a[:last]
-	x.finished = true
-	x.e.readers.Release(x.slot, x.readLines)
-	x.readLines = x.readLines[:0]
-	x.writes.Reset()
 }
 
 // Abort implements tm.Txn.
 func (x *txn) Abort() {
-	if x.finished {
-		return
+	if !x.Finished {
+		x.leave()
+		x.Aborted(tm.AbortExplicit)
+		x.Thread.Tick(2)
 	}
-	x.cleanup()
-	x.e.stats.Count(tm.AbortExplicit)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+}
+
+// recordReads raises the read history of every line the transaction
+// read to son, so future writers serialize after it.
+func (x *txn) recordReads(son uint64) {
+	for _, line := range x.ReadLines {
+		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
+			*rn = son
+		}
 	}
-	x.t.Tick(2)
 }
 
 // Commit implements tm.Txn: the transaction picks the smallest SON in its
@@ -481,35 +295,25 @@ func (x *txn) Abort() {
 // broadcasts the write set so concurrent transactions adjust their own
 // intervals (§6.1).
 func (x *txn) Commit() error {
-	if x.finished {
+	if x.Finished {
 		panic("sontm: Commit on finished transaction")
 	}
-	if x.doomed {
+	if x.Doomed {
 		return x.abortDoomed()
 	}
-	if x.writes.Len() == 0 {
-		// Readers commit with their interval; record their reads so
-		// future writers serialize after them.
-		son := x.lo
-		for _, line := range x.readLines {
-			if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
-				*rn = son
-			}
-		}
-		x.cleanup()
-		x.e.stats.Commits++
-		x.e.stats.ReadOnly++
-		if x.e.tracer != nil {
-			x.e.tracer.TxnCommit(x.id)
-		}
-		x.t.Tick(2)
+	if x.Writes.Len() == 0 {
+		// Readers commit with their interval.
+		x.recordReads(x.lo)
+		x.leave()
+		x.Committed(true)
+		x.Thread.Tick(2)
 		return nil
 	}
 
 	// The writer commit reads the active list and the read history and
 	// broadcasts to peers at this key, so it must run at the per-event
 	// point: end any batched quantum of the write phase.
-	x.t.Fence()
+	x.Thread.Fence()
 
 	// Unlike the 2PL baseline, SONTM detects conflicts eagerly during
 	// execution, so commits of different transactions have disjoint
@@ -521,15 +325,15 @@ func (x *txn) Commit() error {
 	// Serialize after every committed reader of the lines we write
 	// (the read-history check); the scan cost grows with the number of
 	// retained readsets, which tracks concurrency.
-	for _, line := range x.writes.Lines() {
+	for _, line := range x.Writes.Lines() {
 		cost += x.e.cfg.BroadcastCost + x.e.cfg.HistoryCheckCost*uint64(len(x.e.active))
 		x.raiseLo(x.e.readNums.Load(uint64(line))+1, line)
 	}
 	// Writers occupy the next sonGap multiple above their lower bound,
 	// leaving room below for overlapping readers to serialize.
 	son := (x.lo/sonGap + 1) * sonGap
-	if x.doomed || son > x.hi {
-		x.doomed = true
+	if x.Doomed || son > x.hi {
+		x.Doomed = true
 		return x.abortDoomed()
 	}
 
@@ -541,10 +345,10 @@ func (x *txn) Commit() error {
 	// lands at charge-distance zero from a park. Splitting the charge
 	// to land effects later (as core does) would move the broadcast to
 	// a different simulated cycle and change figure bytes.
-	x.t.Interact() // interval broadcast + write-back: per-event interactions
-	for _, line := range x.writes.Lines() {
+	x.Thread.Interact() // interval broadcast + write-back: per-event interactions
+	for _, line := range x.Writes.Lines() {
 		for _, other := range x.e.active {
-			if other == x || other.finished {
+			if other == x || other.Finished {
 				continue
 			}
 			// A transaction that wrote the line must serialize
@@ -552,10 +356,10 @@ func (x *txn) Commit() error {
 			// us. A read-modify-write needs both and its
 			// interval empties — exactly the Kmeans pattern the
 			// paper notes CS cannot help with.
-			if other.writes.Has(line) {
+			if other.Writes.Has(line) {
 				other.raiseLo(son+1, line)
 			}
-			if x.e.readers.Has(other.slot, line) {
+			if x.e.Readers.Has(other.Slot, line) {
 				other.clampHi(son-1, line)
 			}
 		}
@@ -563,31 +367,16 @@ func (x *txn) Commit() error {
 
 	// Write back and tag committed writes with the SON in the global
 	// write-numbers hashtable.
-	for i := 0; i < x.writes.Len(); i++ {
-		line, w := x.writes.At(i)
-		for word := 0; word < mem.WordsPerLine; word++ {
-			if w.Mask&(1<<word) != 0 {
-				x.e.words.Store(mem.WordIndex(mem.WordAddr(line, word)), w.Words[word])
-			}
-		}
-	}
-	for _, line := range x.writes.Lines() {
-		cost += x.h.Access(line) + x.e.cfg.HashCost
+	cost += x.WriteBack(false)
+	for _, line := range x.Writes.Lines() {
+		cost += x.e.cfg.HashCost
 		if wn := x.e.writeNums.Slot(uint64(line)); son > *wn {
 			*wn = son
 		}
-		x.e.caches.Publish(x.t.ID(), line)
 	}
-	for _, line := range x.readLines {
-		if rn := x.e.readNums.Slot(uint64(line)); son > *rn {
-			*rn = son
-		}
-	}
-	x.cleanup()
-	x.e.stats.Commits++
-	if x.e.tracer != nil {
-		x.e.tracer.TxnCommit(x.id)
-	}
-	x.t.Tick(cost)
+	x.recordReads(son)
+	x.leave()
+	x.Committed(false)
+	x.Thread.Tick(cost)
 	return nil
 }

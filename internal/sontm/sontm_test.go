@@ -273,7 +273,7 @@ func TestWriterCommitDoomsManyReaders(t *testing.T) {
 		}
 		for i, r := range rs {
 			if err := r.Commit(); err == nil {
-				t.Errorf("reader %d (slot %d) committed with an empty interval", i, r.(*txn).slot)
+				t.Errorf("reader %d (slot %d) committed with an empty interval", i, r.(*txn).Slot)
 			}
 		}
 	})

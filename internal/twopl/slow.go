@@ -10,6 +10,7 @@ package twopl
 
 import (
 	"repro/internal/cache"
+	"repro/internal/eager"
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/tm"
@@ -65,7 +66,7 @@ var _ tm.Txn = (*slowTxn)(nil)
 
 // beginSlow is the reference-path tm.Engine.Begin.
 func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
-	e.txnSeq++
+	e.TxnSeq++
 	var tx *slowTxn
 	if old := e.lastTxnSlow[t.ID()]; old != nil && old.finished {
 		// clear keeps the maps' grown capacity, so steady-state
@@ -73,9 +74,9 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		clear(old.writeLog)
 		clear(old.writeSet)
 		*old = slowTxn{
-			e: e, t: t, h: old.h, id: e.txnSeq,
+			e: e, t: t, h: old.h, id: e.TxnSeq,
 			readLines:  old.readLines[:0],
-			lastRead:   noLine,
+			lastRead:   eager.NoLine,
 			writeLog:   old.writeLog,
 			writeSet:   old.writeSet,
 			writeOrder: old.writeOrder[:0],
@@ -83,15 +84,15 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = old
 	} else {
 		tx = &slowTxn{
-			e: e, t: t, h: e.caches.Core(t.ID()), id: e.txnSeq,
-			lastRead: noLine,
+			e: e, t: t, h: e.Caches.Core(t.ID()), id: e.TxnSeq,
+			lastRead: eager.NoLine,
 			writeLog: make(map[mem.Addr]uint64),
 			writeSet: make(map[mem.Line]struct{}),
 		}
 		e.lastTxnSlow[t.ID()] = tx
 	}
-	if e.tracer != nil {
-		e.tracer.TxnBegin(tx.id, t.ID())
+	if e.Tracer != nil {
+		e.Tracer.TxnBegin(tx.id, t.ID())
 	}
 	t.Tick(2)
 	return tx
@@ -127,9 +128,9 @@ func (x *slowTxn) checkDoom() {
 // used on the Commit path, which reports aborts as error values.
 func (x *slowTxn) abortDoomed() error {
 	x.cleanup()
-	x.e.stats.Count(x.doomKind)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(x.doomKind)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	return &tm.AbortError{Kind: x.doomKind, Line: x.doomLine}
 }
@@ -146,9 +147,9 @@ func (x *slowTxn) maybeInterrupt(line mem.Line) {
 	}
 	x.t.Tick(x.e.cfg.InterruptCost)
 	x.cleanup()
-	x.e.stats.Count(tm.AbortInterrupt)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(tm.AbortInterrupt)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	tm.SignalAbort(tm.AbortInterrupt, line)
 }
@@ -160,8 +161,8 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
 	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnRead(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnRead(x.id, a, x.site)
 	}
 	st := x.e.stateSlow(line)
 	if st.writer != nil && st.writer != x {
@@ -182,7 +183,7 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 			return v
 		}
 	}
-	return x.e.words.Load(mem.WordIndex(a))
+	return x.e.Words.Load(mem.WordIndex(a))
 }
 
 // ReadPromoted implements tm.Txn; under 2PL it is an ordinary read.
@@ -195,17 +196,17 @@ func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
 	x.t.Tick(x.h.Access(line) + x.e.cfg.BroadcastCost)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnWrite(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnWrite(x.id, a, x.site)
 	}
 	// Version-buffer overflow (§4.3): the L1-resident speculative state
 	// cannot exceed the buffer; the transaction aborts.
 	if n := x.e.cfg.VersionBufferLines; n > 0 {
 		if _, ok := x.writeSet[line]; !ok && len(x.writeSet) >= n {
 			x.cleanup()
-			x.e.stats.Count(tm.AbortCapacity)
-			if x.e.tracer != nil {
-				x.e.tracer.TxnAbort(x.id)
+			x.e.Stats().Count(tm.AbortCapacity)
+			if x.e.Tracer != nil {
+				x.e.Tracer.TxnAbort(x.id)
 			}
 			tm.SignalAbort(tm.AbortCapacity, line)
 		}
@@ -252,9 +253,9 @@ func (x *slowTxn) Abort() {
 		return
 	}
 	x.cleanup()
-	x.e.stats.Count(tm.AbortExplicit)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(tm.AbortExplicit)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	x.t.Tick(2)
 }
@@ -271,16 +272,16 @@ func (x *slowTxn) Commit() error {
 	}
 	if len(x.writeLog) == 0 {
 		x.cleanup()
-		x.e.stats.Commits++
-		x.e.stats.ReadOnly++
-		if x.e.tracer != nil {
-			x.e.tracer.TxnCommit(x.id)
+		x.e.Stats().Commits++
+		x.e.Stats().ReadOnly++
+		if x.e.Tracer != nil {
+			x.e.Tracer.TxnCommit(x.id)
 		}
 		x.t.Tick(2)
 		return nil
 	}
 	for x.e.commitBusy {
-		x.e.stats.Stalls++
+		x.e.Stats().Stalls++
 		x.t.Stall()
 		if x.doomed {
 			return x.abortDoomed()
@@ -294,17 +295,17 @@ func (x *slowTxn) Commit() error {
 		return x.abortDoomed()
 	}
 	for a, v := range x.writeLog {
-		x.e.words.Store(mem.WordIndex(a), v)
+		x.e.Words.Store(mem.WordIndex(a), v)
 	}
 	for _, line := range x.writeOrder {
 		x.t.Tick(x.h.Access(line))
-		x.e.caches.Publish(x.t.ID(), line)
+		x.e.Caches.Publish(x.t.ID(), line)
 	}
 	x.e.commitBusy = false
 	x.cleanup()
-	x.e.stats.Commits++
-	if x.e.tracer != nil {
-		x.e.tracer.TxnCommit(x.id)
+	x.e.Stats().Commits++
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnCommit(x.id)
 	}
 	x.t.WakeAll()
 	return nil

@@ -247,13 +247,14 @@ func TestGetExclusiveDoomsManyReaders(t *testing.T) {
 		}
 		for i, r := range rs {
 			if err := r.Commit(); err == nil {
-				t.Errorf("reader %d (slot %d) committed past the get-exclusive", i, r.(*txn).slot)
+				t.Errorf("reader %d (slot %d) committed past the get-exclusive", i, r.(*txn).Slot)
 			}
 		}
-		if slot := e.Begin(th).(*txn).slot; slot != 0 {
+		last := e.Begin(th)
+		if slot := last.(*txn).Slot; slot != 0 {
 			t.Errorf("first Begin after the readers finished took slot %d, want 0", slot)
 		}
-		e.lastTxn[th.ID()].Abort()
+		last.Abort()
 	})
 	if got := e.Stats().Aborts[tm.AbortReadWrite]; got != readers {
 		t.Fatalf("read-write aborts = %d, want %d", got, readers)
