@@ -70,7 +70,7 @@ func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.Words.Load(mem.WordInde
 // NonTxWrite implements tm.Engine.
 //
 //sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
-func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { e.Words.Store(mem.WordIndex(a), v) }
+func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { *e.Words.Slot(mem.WordIndex(a)) = v }
 
 // ReleaseCaches returns the simulated cache arrays to the configured
 // scratch pool once the run's statistics are extracted; the engine must
