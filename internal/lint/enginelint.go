@@ -12,10 +12,10 @@ import (
 // (tm.NewEngine / self-registered factories), never by writing a struct
 // literal of an engine type in consumer code. Literals are allowed only
 // inside the engine's defining package (where its New constructor lives)
-// and in register.go files (the registration glue). Access tracking
-// (PR 5): inside engine packages and packages that import the
-// scheduler — internal/eager holds 2PL's and SONTM's sets —
-// per-transaction read/write sets are the signature-backed tables of
+// and in register.go files (the registration glue). Access tracking:
+// inside engine packages and packages that import the scheduler —
+// internal/eager holds 2PL's and SONTM's sets — per-transaction
+// read/write sets are the signature-backed tables of
 // internal/aset, not mem.Line-keyed Go maps; map-based tracking is
 // allowed only in slow.go, the verbatim reference oracle behind
 // EngineOptions.ReferenceSets.
