@@ -74,18 +74,20 @@ func (p *Paged[T]) Reference() bool { return p.ref != nil }
 
 // Load returns the value at index i, or the zero value when i was never
 // stored. It never allocates: reading an absent page leaves it absent.
-func (p *Paged[T]) Load(i uint64) T {
-	if p.ref != nil {
-		return p.ref.Load(i)
-	}
-	pi := i >> pageShift
-	if pi < uint64(len(p.pages)) {
+// The dense lookup is written out rather than calling Dense.Load, which
+// keeps Load cheap enough to inline inside one-line wrappers such as
+// eager.Engine.NonTxRead.
+func (p *Paged[T]) Load(i uint64) (v T) {
+	if r := p.ref; r != nil {
+		if i < uint64(len(r.v)) {
+			v = r.v[i]
+		}
+	} else if pi := i >> pageShift; pi < uint64(len(p.pages)) {
 		if pg := p.pages[pi]; pg != nil {
-			return pg.v[i&pageMask]
+			v = pg.v[i&pageMask]
 		}
 	}
-	var zero T
-	return zero
+	return v
 }
 
 // Slot returns a pointer to the value at index i, allocating the page on
