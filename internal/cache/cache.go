@@ -30,7 +30,7 @@
 // in slow.go) is pinned by a property test over random
 // access/invalidate/release streams, an engine-level sweep in
 // internal/tmtest, and the harness-level
-// TestFiguresByteIdenticalFastVsSlowCache.
+// TestFiguresByteIdenticalFastVsSlow/cache.
 //
 // L1 and L2 are private to their core and hold already-resolved versions;
 // the model is non-inclusive, so an access they serve never reaches the

@@ -29,6 +29,7 @@ import (
 	"repro/internal/aset"
 	"repro/internal/cache"
 	"repro/internal/clock"
+	"repro/internal/eager"
 	"repro/internal/mem"
 	"repro/internal/mvm"
 	"repro/internal/sched"
@@ -80,27 +81,21 @@ func DefaultConfig() Config {
 	}
 }
 
-// Engine is the SI-TM transactional memory.
+// Engine is the SI-TM transactional memory. The embedded eager.Base
+// holds the memory system, stats, tracer, batching switch and per-thread
+// recycling. Batching is admitted for plain SI-TM with the fast cache
+// model and fast access sets: SSI-TM is excluded — its read paths mutate
+// shared reader tables and its read-only commits take order-sensitive
+// clock reads — as are the reference models, whose hits rewrite
+// observable state.
 type Engine struct {
+	eager.Base
 	cfg    Config
 	clk    *clock.Clock
 	active *clock.ActiveTable
 	mem    *mvm.Memory
-	// caches is the simulated memory system; thread i runs on core i.
-	caches *cache.System
-	stats  tm.Stats
-	tracer tm.Tracer
 
 	promoted map[string]bool
-	txnSeq   uint64
-
-	// lastTxn recycles each thread's most recent transaction object,
-	// indexed by thread ID. Under Serializable, a committed transaction
-	// is recyclable only once no active transaction overlaps it (its
-	// SIREAD-style read records are then dead); recycling bumps the
-	// object's epoch, which invalidates any remaining reader records at
-	// once.
-	lastTxn []*txn
 
 	// readers tracks, per line, the epoch-stamped visible-reader records
 	// of SSI-TM transactions (visible readers exist only under
@@ -127,16 +122,6 @@ type Engine struct {
 	// slow holds the reference map-based implementation state (slow.go),
 	// nil unless cfg.ReferenceSets.
 	slow *slowState
-
-	// batch enables the horizon-batched access path (sched.TickHinted):
-	// plain SI-TM with the fast cache model, fast access sets and no
-	// tracer. SSI-TM is excluded — its read paths mutate shared reader
-	// tables and its read-only commits take order-sensitive clock reads —
-	// as are the reference models, whose hits rewrite observable state.
-	// batchable holds the configuration-derived part; batch additionally
-	// requires no tracer (SetTracer recomputes it).
-	batch     bool
-	batchable bool
 }
 
 // New creates an SI-TM engine.
@@ -149,40 +134,32 @@ func New(cfg Config) *Engine {
 		clk:      clk,
 		active:   active,
 		mem:      mvm.New(cfg.MVM, clk, active),
-		caches:   cache.NewSystem(cfg.Cache, cfg.ReferenceStore),
 		promoted: make(map[string]bool),
 	}
+	name := "SI-TM"
+	if cfg.Serializable {
+		name = "SSI-TM"
+	}
+	// The read-phase slack backs the horizon-batched path: from any
+	// parked position outside the writer-commit critical section, this
+	// thread's next horizon-relevant effect (install, invalidation,
+	// presence drain, revert) sits behind the commit-entry
+	// Tick(CommitOverhead) plus at least one charged line access, so it
+	// lands at least CommitOverhead + L1Latency cycles past the parked
+	// key. Commit zeroes the slack before entering the critical section.
+	e.Init(name, cfg.Cache, cfg.ReferenceStore, cfg.CommitOverhead+cfg.Cache.L1Latency,
+		!cfg.Serializable && !cfg.ReferenceSets && !cfg.Cache.Reference)
 	e.liveReader = e.readerLive
 	if cfg.ReferenceSets {
 		e.slow = newSlowState(cfg.Serializable)
 	}
-	e.batchable = !cfg.Serializable && !cfg.ReferenceSets && !cfg.Cache.Reference
-	e.batch = e.batchable
 	return e
 }
-
-// Name implements tm.Engine.
-func (e *Engine) Name() string {
-	if e.cfg.Serializable {
-		return "SSI-TM"
-	}
-	return "SI-TM"
-}
-
-// Stats implements tm.Engine.
-func (e *Engine) Stats() *tm.Stats { return &e.stats }
 
 // Promote implements tm.Engine: reads issued under the given site label
 // are inserted into the write set for conflict detection without creating
 // data versions (§5.1).
 func (e *Engine) Promote(site string) { e.promoted[site] = true }
-
-// SetTracer implements tm.Engine. Tracing pins the per-access event
-// order, so it also disables the horizon-batched access path.
-func (e *Engine) SetTracer(tr tm.Tracer) {
-	e.tracer = tr
-	e.batch = e.batchable && tr == nil
-}
 
 // MVM exposes the engine's multiversioned memory for measurement
 // (Table 2 / Appendix A statistics).
@@ -191,51 +168,32 @@ func (e *Engine) MVM() *mvm.Memory { return e.mem }
 // Clock exposes the engine's global timestamp clock.
 func (e *Engine) Clock() *clock.Clock { return e.clk }
 
-// CacheStats returns aggregate cache statistics over all cores.
-func (e *Engine) CacheStats() cache.Stats { return e.caches.Stats() }
-
-// ReleaseCaches returns the simulated cache arrays to the scratch pool
-// the engine was configured with (no-op without one). The harness calls
-// it once the run's statistics have been extracted; the engine must not
-// run transactions afterwards.
-func (e *Engine) ReleaseCaches() { e.caches.Release() }
-
-// AuditAccessSets verifies that no live access-set state survives outside
-// a running transaction: every recycled transaction object holds empty
-// sets, and every reader list compacts to nothing once no transaction is
-// active. It reports the lowest offending thread. tmtest calls it after
+// AuditAccessSets verifies at quiescence that no transaction is active
+// and no commit in flight, and that no live access-set state survives
+// outside a running transaction: every recycled transaction object holds
+// empty sets (eager.Base.Audit), and every reader list compacts to
+// nothing. It reports the lowest offending thread. tmtest calls it after
 // each conformance cell. The reference (map-based) path keeps the
 // pre-aset engine's own lifecycle — maps are cleared at Begin, readers
-// pruned periodically — so it is not audited.
+// pruned periodically — so its sets are not audited.
 func (e *Engine) AuditAccessSets() error {
+	if n := e.active.Len(); n != 0 {
+		return fmt.Errorf("%s: %d transactions active after quiescence", e.Name(), n)
+	}
+	if n := e.clk.InFlight(); n != 0 {
+		return fmt.Errorf("%s: %d commits in flight after quiescence", e.Name(), n)
+	}
 	if e.cfg.ReferenceSets {
 		return nil
 	}
-	for id, tx := range e.lastTxn {
-		if tx == nil {
-			continue
-		}
-		if !tx.finished {
-			return fmt.Errorf("core: thread %d transaction unfinished", id)
-		}
-		if n := tx.writes.Len(); n != 0 {
-			return fmt.Errorf("core: thread %d leaked %d write-set lines", id, n)
-		}
-		if n := tx.promoted.Len(); n != 0 {
-			return fmt.Errorf("core: thread %d leaked %d promoted lines", id, n)
-		}
-		if n := tx.reads.Len(); n != 0 {
-			return fmt.Errorf("core: thread %d leaked %d read-set lines", id, n)
-		}
-		if n := len(tx.installBuf); n != 0 {
-			return fmt.Errorf("core: thread %d leaked %d install records", id, n)
-		}
+	if err := e.Audit(); err != nil {
+		return err
 	}
 	for i := 0; i < e.readers.Len(); i++ {
 		line, rs := e.readers.At(i)
 		rs.Compact(e.liveReader)
 		if n := rs.Len(); n != 0 {
-			return fmt.Errorf("core: line %d holds %d live reader records after quiescence", line, n)
+			return fmt.Errorf("%s: line %d holds %d live reader records after quiescence", e.Name(), line, n)
 		}
 	}
 	return nil
@@ -259,22 +217,18 @@ type installRec struct {
 	undo mvm.Undo
 }
 
-// txn is one SI-TM transaction attempt.
+// txn is one SI-TM transaction attempt. The embedded eager.Attempt
+// holds the thread, hierarchy, write log (first-write order) and the
+// outcome accounting.
 type txn struct {
+	eager.Attempt
 	e     *Engine
-	t     *sched.Thread
-	h     *cache.Hierarchy
-	id    uint64
 	start clock.Timestamp
-	site  string
 	// epoch distinguishes incarnations of a recycled transaction object:
 	// reader records carry the epoch they were made under, so recycling
 	// invalidates all of an object's records without walking any table.
 	epoch uint64
 
-	// writes buffers the transaction's stores: line membership,
-	// first-write order, and the buffered words in one structure.
-	writes aset.WriteLog
 	// promoted are reads promoted into conflict detection (§5.1); they
 	// are validated like writes but create no versions. Iteration order
 	// is first-promotion order, so commit-time cycle charging is
@@ -301,8 +255,6 @@ type txn struct {
 	committed bool
 	end       clock.Timestamp // end timestamp once committed
 
-	finished bool
-
 	// installBuf is the reused commit-time install record buffer.
 	installBuf []installRec
 }
@@ -326,58 +278,22 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	}
 	for e.clk.MustStall() {
 		e.clk.Stalls++
-		e.stats.Stalls++
+		e.Stats().Stalls++
 		t.Stall()
 	}
-	e.txnSeq++
-	var tx *txn
-	id := t.ID()
-	for id >= len(e.lastTxn) {
-		e.lastTxn = append(e.lastTxn, nil)
+	// A recycled object's sets were Reset when it finished, keeping their
+	// grown capacity; bumping the epoch retires any reader records the
+	// previous incarnation left behind.
+	tx, _ := e.Recycle(t.ID()).(*txn)
+	if tx == nil || !e.canRecycle(tx) {
+		tx = &txn{e: e}
 	}
-	if old := e.lastTxn[id]; old != nil && old.finished && e.canRecycle(old) {
-		// The object's sets were Reset when it finished, keeping their
-		// grown capacity; bumping the epoch retires any reader records
-		// the previous incarnation left behind. The thread object can
-		// differ across scheduler runs even for the same thread ID, so
-		// it is rebound.
-		old.t = t
-		old.id = e.txnSeq
-		old.start = e.clk.Begin()
-		old.site = ""
-		old.epoch++
-		old.hadReads = false
-		old.inFlag, old.outFlag, old.doomed = false, false, false
-		old.committed, old.finished = false, false
-		old.end = 0
-		tx = old
-	} else {
-		tx = &txn{
-			e:     e,
-			t:     t,
-			h:     e.caches.Core(id),
-			id:    e.txnSeq,
-			start: e.clk.Begin(),
-			epoch: 1,
-		}
-		e.lastTxn[id] = tx
-	}
+	tx.start = e.clk.Begin()
+	tx.epoch++
+	tx.hadReads, tx.inFlag, tx.outFlag, tx.doomed, tx.committed = false, false, false, false, false
+	tx.end = 0
 	e.active.Register(tx.start)
-	if e.tracer != nil {
-		e.tracer.TxnBegin(tx.id, t.ID())
-	}
-	if e.batch {
-		// Publish the interaction slack backing the horizon-batched
-		// path: from any parked position outside the writer-commit
-		// critical section, this thread's next horizon-relevant effect
-		// (install, invalidation, presence drain, revert) sits behind
-		// the commit-entry Tick(CommitOverhead) plus at least one
-		// charged line access, so it lands at least CommitOverhead +
-		// L1Latency cycles past the parked key. Commit zeroes the slack
-		// before entering the critical section.
-		t.SetSlack(e.cfg.CommitOverhead + e.cfg.Cache.L1Latency)
-	}
-	t.Tick(2) // atomic increment of the global timestamp counter
+	e.Open(&tx.Attempt, tx, t) // charges the timestamp-counter increment
 	return tx
 }
 
@@ -403,24 +319,15 @@ func (e *Engine) canRecycle(old *txn) bool {
 // overlapper. Records readerLive rejects are exactly those the writer
 // check would skip, so sweeping them is invisible to the simulation.
 func (e *Engine) readerLive(r *txn, epoch uint64) bool {
-	if r.epoch != epoch || (r.finished && !r.committed) {
+	if r.epoch != epoch || (r.Finished && !r.committed) {
 		return false
 	}
-	if !r.finished {
+	if !r.Finished {
 		return true
 	}
 	oldest, any := e.active.OldestActive()
 	return any && r.end > oldest
 }
-
-// Site implements tm.Txn.
-func (x *txn) Site(s string) tm.Txn {
-	x.site = s
-	return x
-}
-
-// Fence implements tm.Txn (see sched.Thread.Fence).
-func (x *txn) Fence() { x.t.Fence() }
 
 // Read implements tm.Txn: the most current version older than the start
 // timestamp is returned (§4.2, TM READ), unless the transaction itself
@@ -428,7 +335,7 @@ func (x *txn) Fence() { x.t.Fence() }
 func (x *txn) Read(a mem.Addr) uint64 {
 	// Most workloads never promote a site; the len guard keeps the
 	// string-keyed map hash off the per-read hot path in that case.
-	if len(x.e.promoted) != 0 && x.e.promoted[x.site] {
+	if len(x.e.promoted) != 0 && x.e.promoted[x.Label] {
 		return x.ReadPromoted(a)
 	}
 	return x.read(a)
@@ -444,20 +351,18 @@ func (x *txn) read(a mem.Addr) uint64 {
 		// "Horizon batching").
 		// The snapshot read below is pinned too — any concurrent install
 		// sits behind the horizon.
-		x.t.TickHinted(lat)
+		x.Thread.TickHinted(lat)
 	} else {
 		// An L2 miss reaches the shared L3, the translation cache and
 		// the MVM partition, so it must happen at the per-event point.
-		x.t.Fence()
-		x.t.Tick(x.h.AccessVersioned(line))
+		x.Thread.Fence()
+		x.Thread.Tick(x.Hier.AccessVersioned(line))
 	}
-	if x.e.tracer != nil {
-		x.e.tracer.TxnRead(x.id, a, x.site)
-	}
+	x.TraceRead(a)
 	if x.e.cfg.Serializable {
 		x.trackRead(line)
 	}
-	if v, ok := x.writes.Load(a); ok {
+	if v, ok := x.Writes.Load(a); ok {
 		return v
 	}
 	v, ok := x.e.mem.ReadWord(a, x.start)
@@ -484,15 +389,13 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 	if lat, ok := x.privateHit(line); ok {
 		// Same certification as read: a private L1/L2 hit plus the local
 		// write-set store interacts with nothing inside the horizon.
-		x.t.TickHinted(lat)
+		x.Thread.TickHinted(lat)
 	} else {
-		x.t.Fence()
-		x.t.Tick(x.h.Access(line)) // write into the private cache
+		x.Thread.Fence()
+		x.Thread.Tick(x.Hier.Access(line)) // write into the private cache
 	}
-	if x.e.tracer != nil {
-		x.e.tracer.TxnWrite(x.id, a, x.site)
-	}
-	x.writes.Store(a, v)
+	x.TraceWrite(a)
+	x.Writes.Store(a, v)
 }
 
 // privateHit performs the access to line when horizon batching is on and
@@ -500,10 +403,10 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 // L1 or L2 hit costs the same plain or versioned). It reports false, and
 // touches nothing, otherwise.
 func (x *txn) privateHit(line mem.Line) (uint64, bool) {
-	if !x.e.batch {
+	if !x.e.Batch {
 		return 0, false
 	}
-	return x.h.AccessPrivate(line)
+	return x.Hier.AccessPrivate(line)
 }
 
 // trackRead registers this transaction as a visible reader of line for
@@ -544,11 +447,11 @@ func (x *txn) checkDoom(line mem.Line) {
 	}
 }
 
-// resetAccessSets empties the transaction's sets in O(touched), keeping
-// capacity for the next incarnation. Reader records are not touched: they
-// live in the engine table and expire via epoch/liveness instead.
+// resetAccessSets empties SI-TM's own sets in O(touched), keeping
+// capacity for the next incarnation; the write log is eager.Attempt's.
+// Reader records are not touched: they live in the engine table and
+// expire via epoch/liveness instead.
 func (x *txn) resetAccessSets() {
-	x.writes.Reset()
 	x.promoted.Reset()
 	x.reads.Reset()
 	for i := range x.installBuf {
@@ -557,12 +460,12 @@ func (x *txn) resetAccessSets() {
 	x.installBuf = x.installBuf[:0]
 }
 
-// release drops all engine-side state of the transaction. The local sets
-// are reset immediately; a committed SSI-TM transaction's reader records
-// stay live (like SIREAD locks) until no overlapping transaction remains,
-// at which point readerLive retires them lazily.
+// release drops the transaction's snapshot and local sets ahead of its
+// outcome (eager.Attempt's Aborted or Committed). A committed SSI-TM
+// transaction's reader records stay live (like SIREAD locks) until no
+// overlapping transaction remains, at which point readerLive retires them
+// lazily.
 func (x *txn) release() {
-	x.finished = true
 	x.e.active.Deregister(x.start)
 	x.resetAccessSets()
 }
@@ -571,25 +474,32 @@ func (x *txn) release() {
 // Read/Write; it unwinds to tm.Atomic.
 func (x *txn) abortInternal(kind tm.AbortKind, line mem.Line) {
 	x.release()
-	x.e.stats.Count(kind)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
-	}
+	x.Aborted(kind)
 	tm.SignalAbort(kind, line)
 }
 
 // Abort implements tm.Txn: the write set is discarded; nothing was
 // published, so rollback is trivial (§4.3).
 func (x *txn) Abort() {
-	if x.finished {
-		return
+	if !x.Finished {
+		x.release()
+		x.Aborted(tm.AbortExplicit)
+		x.Thread.Tick(2)
 	}
-	x.release()
-	x.e.stats.Count(tm.AbortExplicit)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+}
+
+// Leaks reports access-set state a finished attempt kept (see
+// eager.Base.Audit).
+func (x *txn) Leaks() error {
+	switch {
+	case x.promoted.Len() != 0:
+		return fmt.Errorf("leaked %d promoted lines", x.promoted.Len())
+	case x.reads.Len() != 0:
+		return fmt.Errorf("leaked %d read-set lines", x.reads.Len())
+	case len(x.installBuf) != 0:
+		return fmt.Errorf("leaked %d install records", len(x.installBuf))
 	}
-	x.t.Tick(2)
+	return nil
 }
 
 // Commit implements tm.Txn (§4.2, TM COMMIT). Read-only transactions
@@ -600,27 +510,23 @@ func (x *txn) Abort() {
 // tagged with the end timestamp is installed. Validation is purely local —
 // a timestamp comparison against memory state — with no broadcast.
 func (x *txn) Commit() error {
-	if x.finished {
+	if x.Finished {
 		panic("core: Commit on finished transaction")
 	}
 	// SSI-TM dangerous-structure checks accumulated during execution.
 	if x.e.cfg.Serializable && (x.doomed || (x.inFlag && x.outFlag)) {
 		return x.commitAbort(0, tm.AbortSkew)
 	}
-	if x.writes.Len() == 0 && x.promoted.Len() == 0 {
+	if x.Writes.Len() == 0 && x.promoted.Len() == 0 {
 		// Read-only: no end timestamp, no checks (§4.2). Under
 		// SSI-TM the reader records persist so later writers still see
 		// the antidependencies this reader induced. The clock read is
 		// order-sensitive, so end any batched quantum first.
-		x.t.Fence()
+		x.Thread.Fence()
 		x.committed = true
 		x.end = x.e.clk.Now()
 		x.release()
-		x.e.stats.Commits++
-		x.e.stats.ReadOnly++
-		if x.e.tracer != nil {
-			x.e.tracer.TxnCommit(x.id)
-		}
+		x.Committed(true)
 		return nil
 	}
 
@@ -629,8 +535,8 @@ func (x *txn) Commit() error {
 	// must drop to zero before the commit-overhead charge (a batching
 	// thread reading the old slack across this Tick's yield would admit
 	// events the install below could invalidate). Restored on every exit.
-	x.t.SetSlack(0)
-	x.t.Tick(x.e.cfg.CommitOverhead)
+	x.Thread.SetSlack(0)
+	x.Thread.Tick(x.e.cfg.CommitOverhead)
 	end := x.e.clk.ReserveEnd()
 
 	// Deregister before installing so that version coalescing measures
@@ -647,18 +553,18 @@ func (x *txn) Commit() error {
 	// whose writes invalidate each other's promoted reads, at least the
 	// one that finishes validating last observes the other's versions.
 	for _, line := range x.promoted.Lines() {
-		if x.writes.Has(line) {
+		if x.Writes.Has(line) {
 			continue // validated atomically when the write installs
 		}
-		x.t.Tick(x.h.Access(line))
+		x.Thread.Tick(x.Hier.Access(line))
 		if x.e.mem.NewestTS(line) > x.start {
 			return x.commitAbortReserved(end, line, tm.AbortSkew)
 		}
 	}
 
-	for i := 0; i < x.writes.Len(); i++ {
-		line, w := x.writes.At(i)
-		x.t.Tick(x.h.Access(line)) // write the line back to the MVM
+	for i := 0; i < x.Writes.Len(); i++ {
+		line, w := x.Writes.At(i)
+		x.Thread.Tick(x.Hier.Access(line)) // write the line back to the MVM
 		base, ok := x.e.mem.ReadLine(line, x.start)
 		if !ok {
 			return x.commitAbortReserved(end, line, tm.AbortCapacity)
@@ -685,7 +591,7 @@ func (x *txn) Commit() error {
 			// transaction's words.
 			base = x.e.mem.NewestLine(line)
 		}
-		x.t.Interact() // install: audited horizon-relevant effect
+		x.Thread.Interact() // install: audited horizon-relevant effect
 		undo, err := x.e.mem.Install(line, end, base, mask, &w.Words)
 		if err != nil {
 			return x.commitAbortReserved(end, line, tm.AbortCapacity)
@@ -700,7 +606,7 @@ func (x *txn) Commit() error {
 	// is our own install, and the write-write check already validated
 	// them against the snapshot without an intervening yield.
 	for _, line := range x.promoted.Lines() {
-		if x.writes.Has(line) {
+		if x.Writes.Has(line) {
 			continue
 		}
 		if x.e.mem.NewestTS(line) > x.start {
@@ -718,7 +624,7 @@ func (x *txn) Commit() error {
 		// Record this commit as the newest writer of its lines so later
 		// readers of the overwritten versions can apply the read-side
 		// committed-pivot rule (see trackRead).
-		for _, line := range x.writes.Lines() {
+		for _, line := range x.Writes.Lines() {
 			rec, _ := x.e.lastWriter.Put(line)
 			rec.tx, rec.epoch = x, x.epoch
 		}
@@ -726,32 +632,18 @@ func (x *txn) Commit() error {
 
 	// Publish: invalidate the committed lines in other cores' private
 	// caches so subsequent transactions fetch the new versions (§4.4).
-	x.t.Interact() // publish: audited horizon-relevant effect
-	for _, line := range x.writes.Lines() {
-		x.e.caches.PublishVersioned(x.t.ID(), line)
+	x.Thread.Interact() // publish: audited horizon-relevant effect
+	for _, line := range x.Writes.Lines() {
+		x.e.Caches.PublishVersioned(x.Thread.ID(), line)
 	}
-	x.finished = true
 	x.committed = true
 	x.end = end
 	x.resetAccessSets()
 	x.e.clk.CompleteEnd(end)
-	x.e.stats.Commits++
-	if x.e.tracer != nil {
-		x.e.tracer.TxnCommit(x.id)
-	}
-	x.commitSlack() // critical section over: re-publish the slack
-	x.t.WakeAll()   // release starters stalled on the commit window
-	x.t.Tick(2)
+	x.Committed(false) // critical section over: re-publishes the slack
+	x.Thread.WakeAll() // release starters stalled on the commit window
+	x.Thread.Tick(2)
 	return nil
-}
-
-// commitSlack re-publishes the out-of-critical-section interaction slack
-// once a writer commit or rollback has finished its installs, drains and
-// reverts (see Engine.Begin for the promise it encodes).
-func (x *txn) commitSlack() {
-	if x.e.batch {
-		x.t.SetSlack(x.e.cfg.CommitOverhead + x.e.cfg.Cache.L1Latency)
-	}
 }
 
 // changedMaskWords returns the subset of the write mask whose words
@@ -801,7 +693,7 @@ func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 	// sweeping never changes a verdict.
 	abort := false
 	var abortLine mem.Line
-	for _, line := range x.writes.Lines() {
+	for _, line := range x.Writes.Lines() {
 		rs, ok := x.e.readers.Get(line)
 		if !ok {
 			continue
@@ -824,7 +716,7 @@ func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 				}
 				continue
 			}
-			if r.finished {
+			if r.Finished {
 				continue // aborted reader
 			}
 			// rw edge r -> x between active transactions.
@@ -846,29 +738,20 @@ func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 // its write set and removes all written lines from the MVM (§4.2).
 func (x *txn) commitAbortReserved(end clock.Timestamp, line mem.Line, kind tm.AbortKind) error {
 	for i := len(x.installBuf) - 1; i >= 0; i-- {
-		x.t.Tick(x.h.Access(x.installBuf[i].line))
-		x.t.Interact() // revert: audited horizon-relevant effect
+		x.Thread.Tick(x.Hier.Access(x.installBuf[i].line))
+		x.Thread.Interact() // revert: audited horizon-relevant effect
 		x.e.mem.Revert(x.installBuf[i].line, end, x.installBuf[i].undo)
 	}
 	x.e.clk.CompleteEnd(end)
-	x.finishAbort(kind)
-	x.commitSlack() // critical section over: re-publish the slack
-	x.t.WakeAll()
+	x.resetAccessSets()
+	x.Aborted(kind) // critical section over: re-publishes the slack
+	x.Thread.WakeAll()
 	return &tm.AbortError{Kind: kind, Line: line}
 }
 
 // commitAbort aborts before an end timestamp was reserved.
 func (x *txn) commitAbort(line mem.Line, kind tm.AbortKind) error {
-	x.e.active.Deregister(x.start)
-	x.finishAbort(kind)
+	x.release()
+	x.Aborted(kind)
 	return &tm.AbortError{Kind: kind, Line: line}
-}
-
-func (x *txn) finishAbort(kind tm.AbortKind) {
-	x.finished = true
-	x.resetAccessSets()
-	x.e.stats.Count(kind)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
-	}
 }

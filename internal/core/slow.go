@@ -91,11 +91,11 @@ var _ tm.Txn = (*slowTxn)(nil)
 func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 	for e.clk.MustStall() {
 		e.clk.Stalls++
-		e.stats.Stalls++
+		e.Stats().Stalls++
 		t.Stall()
 	}
-	e.txnSeq++
-	if e.cfg.Serializable && e.txnSeq%64 == 0 {
+	e.TxnSeq++
+	if e.cfg.Serializable && e.TxnSeq%64 == 0 {
 		e.pruneSSI()
 	}
 	var tx *slowTxn
@@ -108,7 +108,7 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 			e:             e,
 			t:             t,
 			h:             old.h,
-			id:            e.txnSeq,
+			id:            e.TxnSeq,
 			start:         e.clk.Begin(),
 			writes:        old.writes,
 			writeOrder:    old.writeOrder[:0],
@@ -120,8 +120,8 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 		tx = &slowTxn{
 			e:      e,
 			t:      t,
-			h:      e.caches.Core(t.ID()),
-			id:     e.txnSeq,
+			h:      e.Caches.Core(t.ID()),
+			id:     e.TxnSeq,
 			start:  e.clk.Begin(),
 			writes: make(map[mem.Line]*writeEntry),
 		}
@@ -131,8 +131,8 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 	if e.cfg.Serializable {
 		tx.reads = make(map[mem.Line]struct{})
 	}
-	if e.tracer != nil {
-		e.tracer.TxnBegin(tx.id, t.ID())
+	if e.Tracer != nil {
+		e.Tracer.TxnBegin(tx.id, t.ID())
 	}
 	t.Tick(2) // atomic increment of the global timestamp counter
 	return tx
@@ -163,8 +163,8 @@ func (x *slowTxn) Read(a mem.Addr) uint64 {
 func (x *slowTxn) read(a mem.Addr) uint64 {
 	line := mem.LineOf(a)
 	x.t.Tick(x.h.AccessVersioned(line))
-	if x.e.tracer != nil {
-		x.e.tracer.TxnRead(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnRead(x.id, a, x.site)
 	}
 	if x.e.cfg.Serializable {
 		x.trackRead(line)
@@ -203,8 +203,8 @@ func (x *slowTxn) ReadPromoted(a mem.Addr) uint64 {
 func (x *slowTxn) Write(a mem.Addr, v uint64) {
 	line := mem.LineOf(a)
 	x.t.Tick(x.h.Access(line)) // write into the private cache
-	if x.e.tracer != nil {
-		x.e.tracer.TxnWrite(x.id, a, x.site)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnWrite(x.id, a, x.site)
 	}
 	w, ok := x.writes[line]
 	if !ok {
@@ -302,9 +302,9 @@ func (e *Engine) pruneSSI() {
 // Read/Write; it unwinds to tm.Atomic.
 func (x *slowTxn) abortInternal(kind tm.AbortKind, line mem.Line) {
 	x.release()
-	x.e.stats.Count(kind)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(kind)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	tm.SignalAbort(kind, line)
 }
@@ -316,9 +316,9 @@ func (x *slowTxn) Abort() {
 		return
 	}
 	x.release()
-	x.e.stats.Count(tm.AbortExplicit)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(tm.AbortExplicit)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 	x.t.Tick(2)
 }
@@ -345,10 +345,10 @@ func (x *slowTxn) Commit() error {
 		x.committed = true
 		x.end = x.e.clk.Now()
 		x.release()
-		x.e.stats.Commits++
-		x.e.stats.ReadOnly++
-		if x.e.tracer != nil {
-			x.e.tracer.TxnCommit(x.id)
+		x.e.Stats().Commits++
+		x.e.Stats().ReadOnly++
+		if x.e.Tracer != nil {
+			x.e.Tracer.TxnCommit(x.id)
 		}
 		return nil
 	}
@@ -449,15 +449,15 @@ func (x *slowTxn) Commit() error {
 	// Publish: invalidate the committed lines in other cores' private
 	// caches so subsequent transactions fetch the new versions (§4.4).
 	for _, line := range x.writeOrder {
-		x.e.caches.PublishVersioned(x.t.ID(), line)
+		x.e.Caches.PublishVersioned(x.t.ID(), line)
 	}
 	x.finished = true
 	x.committed = true
 	x.end = end
 	x.e.clk.CompleteEnd(end)
-	x.e.stats.Commits++
-	if x.e.tracer != nil {
-		x.e.tracer.TxnCommit(x.id)
+	x.e.Stats().Commits++
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnCommit(x.id)
 	}
 	x.t.WakeAll() // release starters stalled on the commit window
 	x.t.Tick(2)
@@ -569,8 +569,8 @@ func (x *slowTxn) finishAbort(kind tm.AbortKind) {
 	if x.e.cfg.Serializable {
 		x.dropReads()
 	}
-	x.e.stats.Count(kind)
-	if x.e.tracer != nil {
-		x.e.tracer.TxnAbort(x.id)
+	x.e.Stats().Count(kind)
+	if x.e.Tracer != nil {
+		x.e.Tracer.TxnAbort(x.id)
 	}
 }

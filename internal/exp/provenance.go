@@ -118,12 +118,12 @@ var simSourceDirs = []string{
 
 // engineSourceDirs maps lower-cased registered engine names to the
 // directories that define them. SI-TM and SSI-TM share internal/core;
-// 2PL and SONTM share the eager base, internal/eager.
+// all four engines are built on the shared base, internal/eager.
 var engineSourceDirs = map[string][]string{
 	"2pl":    {"internal/twopl", "internal/eager"},
 	"sontm":  {"internal/sontm", "internal/eager"},
-	"si-tm":  {"internal/core"},
-	"ssi-tm": {"internal/core"},
+	"si-tm":  {"internal/core", "internal/eager"},
+	"ssi-tm": {"internal/core", "internal/eager"},
 }
 
 var (

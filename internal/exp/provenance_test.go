@@ -206,14 +206,14 @@ func TestCurrentProvenanceFingerprintsThisCheckout(t *testing.T) {
 	}
 }
 
-func TestEagerEditInvalidatesBothEagerEngines(t *testing.T) {
-	// 2PL and SONTM share internal/eager, so an eager edit invalidates
-	// both — and neither SI engine.
+func TestEagerEditInvalidatesAllEngines(t *testing.T) {
+	// Every engine is built on internal/eager's shared base, so an eager
+	// edit invalidates all four.
 	root := writeTree(t)
 	before := keysFor(ProvenanceAt(root))
 	edit(t, root, "internal/eager/engine.go", "package p // edited\n")
 	after := keysFor(ProvenanceAt(root))
-	for engine, want := range map[string]bool{"2PL": true, "SONTM": true, "SI-TM": false, "SSI-TM": false} {
+	for engine, want := range map[string]bool{"2PL": true, "SONTM": true, "SI-TM": true, "SSI-TM": true} {
 		if changed := after[engine] != before[engine]; changed != want {
 			t.Errorf("%s key changed=%v, want %v", engine, changed, want)
 		}

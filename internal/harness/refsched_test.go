@@ -20,23 +20,46 @@ func figureBytes(t *testing.T, o Options) []byte {
 	return buf.Bytes()
 }
 
-// TestFiguresByteIdenticalFastVsSlow is the acceptance gate for the
-// scheduler fast path at the report level: the Figure 7 and Figure 8
-// tables must be byte-identical whether the cells run under the inline
-// fast-path conductor or the reference linear-scan conductor. The
-// per-trace differential tests live in internal/sched; this one proves
-// the property survives engines, workloads, seed averaging and table
-// rendering.
+// TestFiguresByteIdenticalFastVsSlow is the report-level acceptance gate
+// for every fast path that keeps a reference variant: the Figure 7 and
+// Figure 8 tables on List must be byte-identical whether the cells run
+// on the defaults or on one reference model. The default is rendered once
+// and compared with each variant:
+//
+//   - sched: the reference linear-scan conductor instead of the inline
+//     fast-path one (per-trace differential tests in internal/sched);
+//   - cache: the verbatim memory-hierarchy model (cache.SlowHierarchy)
+//     instead of the way-predicted one (random-stream tests in
+//     internal/cache);
+//   - sets: each engine's map-based slow.go instead of the aset access
+//     sets (property tests in internal/aset);
+//   - store: the retained dense mem backing instead of the paged one
+//     (property tests in internal/mem).
+//
+// The engine-level sweeps live in internal/tmtest; this gate proves each
+// property survives engines, workloads, seed averaging and rendering.
 func TestFiguresByteIdenticalFastVsSlow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full figure sweeps")
+		t.Skip("runs five full figure sweeps")
 	}
 	o := Options{Seeds: []uint64{1}, Only: []string{"List"}}
 	fast := figureBytes(t, o)
-	o.refSched = true
-	slow := figureBytes(t, o)
-	if !bytes.Equal(fast, slow) {
-		t.Fatalf("figure output diverges between conductors:\n--- fast ---\n%s\n--- slow ---\n%s", fast, slow)
+	for _, v := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"sched", func(o *Options) { o.refSched = true }},
+		{"cache", func(o *Options) { o.refCache = true }},
+		{"sets", func(o *Options) { o.refSets = true }},
+		{"store", func(o *Options) { o.refStore = true }},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			ro := o
+			v.set(&ro)
+			if slow := figureBytes(t, ro); !bytes.Equal(fast, slow) {
+				t.Fatalf("figure output diverges under the reference %s:\n--- fast ---\n%s\n--- reference ---\n%s", v.name, fast, slow)
+			}
+		})
 	}
 }
 

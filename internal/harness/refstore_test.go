@@ -5,28 +5,9 @@ import (
 	"testing"
 )
 
-// TestFiguresByteIdenticalFastVsSlowStore is the acceptance gate for the
-// paged memory tier (internal/mem.Paged) at the report level: the Figure
-// 7 and Figure 8 tables must be byte-identical whether the engines' per
-// -line tables and presence filters run on the paged O(touched) store or
-// the retained dense reference backing. The per-structure property tests
-// live in internal/mem; this one proves the property survives engines,
-// workloads, seed averaging and table rendering.
-func TestFiguresByteIdenticalFastVsSlowStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full figure sweeps")
-	}
-	o := Options{Seeds: []uint64{1}, Only: []string{"List"}}
-	fast := figureBytes(t, o)
-	o.refStore = true
-	slow := figureBytes(t, o)
-	if !bytes.Equal(fast, slow) {
-		t.Fatalf("figure output diverges between store backings:\n--- fast ---\n%s\n--- slow ---\n%s", fast, slow)
-	}
-}
-
-// TestOLTPFigureByteIdenticalFastVsSlowStore repeats the gate on the
-// serving tier itself — the workload the paged store exists for — and
+// TestOLTPFigureByteIdenticalFastVsSlowStore repeats the store leg of
+// TestFiguresByteIdenticalFastVsSlow on the serving tier itself — the
+// workload the paged memory tier (internal/mem.Paged) exists for — and
 // covers the commit-latency quantile columns too.
 func TestOLTPFigureByteIdenticalFastVsSlowStore(t *testing.T) {
 	if testing.Short() {
