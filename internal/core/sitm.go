@@ -11,10 +11,16 @@
 // transaction aborts. Read-write conflicts never abort a transaction, and
 // read-only transactions commit with zero overhead.
 //
-// Thread i runs on core i of a cache.System, the Table 1 machine the
-// baselines simulate too: reads charge versioned accesses, and a writer
-// commit publishes each installed line to the other cores
-// (System.PublishVersioned, §4.4).
+// SI-TM shares its transaction lifecycle with the baselines: Engine and
+// txn embed internal/eager's Base and Attempt by value, which hold the
+// memory system (thread i runs on core i of the cache.System, the Table
+// 1 machine), stats, tracer, batching switch, per-thread recycling, the
+// write log and the outcome accounting. This package keeps what is SI-TM's
+// own: the MVM, the clock and active-snapshot table, promoted sites,
+// SSI-TM's reader and last-writer tables, the commit-window stall and the
+// read, Write and Commit paths (DESIGN.md "One transaction lifecycle").
+// Reads charge versioned accesses, and a writer commit publishes each
+// installed line to the other cores (System.PublishVersioned, §4.4).
 //
 // Access tracking uses the signature-backed tables of internal/aset
 // (write sets, promoted-read sets, and epoch-stamped visible-reader
@@ -402,11 +408,11 @@ func (x *txn) Write(a mem.Addr, v uint64) {
 // this core's private caches serve it (cache.Hierarchy.AccessPrivate; an
 // L1 or L2 hit costs the same plain or versioned). It reports false, and
 // touches nothing, otherwise.
-func (x *txn) privateHit(line mem.Line) (uint64, bool) {
-	if !x.e.Batch {
-		return 0, false
+func (x *txn) privateHit(line mem.Line) (lat uint64, ok bool) {
+	if x.e.Batch {
+		lat, ok = x.Hier.AccessPrivate(line)
 	}
-	return x.Hier.AccessPrivate(line)
+	return lat, ok
 }
 
 // trackRead registers this transaction as a visible reader of line for
