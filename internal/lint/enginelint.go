@@ -14,7 +14,7 @@ import (
 // inside the engine's defining package (where its New constructor lives)
 // and in register.go files (the registration glue). Access tracking:
 // inside engine packages and packages that import the scheduler —
-// internal/eager holds 2PL's and SONTM's sets — per-transaction
+// internal/eager holds every engine's write log — per-transaction
 // read/write sets are the signature-backed tables of
 // internal/aset, not mem.Line-keyed Go maps; map-based tracking is
 // allowed only in slow.go, the verbatim reference oracle behind

@@ -34,7 +34,7 @@ var yieldTouchMethods = map[string]map[string]bool{
 // claim that charged yield points are the complete set of schedule
 // decision points (see DESIGN.md "Model checking"): inside a package
 // that defines a tm.Engine or otherwise runs on simulated threads (the
-// eager base of 2PL and SONTM), every simulated shared-memory access must be
+// engine base in internal/eager), every simulated shared-memory access must be
 // reachable only through functions that charge cycles on the simulated
 // thread (sched.Thread.Tick / Stall — the only places the conductor can
 // switch threads). An access reachable without a yield point is a hidden
@@ -167,7 +167,7 @@ func runYieldLint(pass *Pass) error {
 
 // runsOnSimThreads reports whether pkg imports the scheduler: every
 // engine package does (Begin takes a *sched.Thread), and so does the
-// eager base of 2PL and SONTM. Storage packages (mvm, cache) do not.
+// engine base in internal/eager. Storage packages (mvm, cache) do not.
 func runsOnSimThreads(pkg *types.Package) bool {
 	for _, imp := range pkg.Imports() {
 		if p := imp.Path(); p == "sched" || strings.HasSuffix(p, "/sched") {
