@@ -2,6 +2,7 @@ package aset
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -115,9 +116,11 @@ func (h *ReadHolds[T]) Audit() error {
 	}
 	var err error
 	for k := range h.words {
-		h.words[k].Range(func(i uint64, v *uint64) {
-			if err == nil && *v != 0 {
-				err = fmt.Errorf("line %d still held by slot %d", i, k<<6|bits.TrailingZeros64(*v))
+		h.words[k].Scan(0, math.MaxUint64, func(first uint64, run []uint64) {
+			for j, v := range run {
+				if err == nil && v != 0 {
+					err = fmt.Errorf("line %d still held by slot %d", first+uint64(j), k<<6|bits.TrailingZeros64(v))
+				}
 			}
 		})
 	}

@@ -175,7 +175,8 @@ func (e *Engine) MVM() *mvm.Memory { return e.mem }
 func (e *Engine) Clock() *clock.Clock { return e.clk }
 
 // AuditAccessSets verifies at quiescence that no transaction is active
-// and no commit in flight, and that no live access-set state survives
+// and no commit in flight, that every MVM version list is well formed
+// (mvm.Memory.AuditVersions), and that no live access-set state survives
 // outside a running transaction: every recycled transaction object holds
 // empty sets (eager.Base.Audit), and every reader list compacts to
 // nothing. It reports the lowest offending thread. tmtest calls it after
@@ -188,6 +189,9 @@ func (e *Engine) AuditAccessSets() error {
 	}
 	if n := e.clk.InFlight(); n != 0 {
 		return fmt.Errorf("%s: %d commits in flight after quiescence", e.Name(), n)
+	}
+	if err := e.mem.AuditVersions(); err != nil {
+		return fmt.Errorf("%s: %v after quiescence", e.Name(), err)
 	}
 	if e.cfg.ReferenceSets {
 		return nil
@@ -216,6 +220,12 @@ func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.mem.NonTxReadWord(a) }
 //
 //sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
 func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { e.mem.NonTxWriteWord(a, v) }
+
+// NonTxScan implements tm.Engine: the non-zero words of the newest
+// versions of the lines the MVM has allocated (mvm.Memory.NonTxScan).
+//
+//sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
+func (e *Engine) NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64)) { e.mem.NonTxScan(lo, hi, f) }
 
 // installRec remembers an optimistic install for rollback.
 type installRec struct {

@@ -53,6 +53,21 @@ func (e *Engine) NonTxRead(a mem.Addr) uint64 { return e.Words.Load(mem.WordInde
 //sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
 func (e *Engine) NonTxWrite(a mem.Addr, v uint64) { *e.Words.Slot(mem.WordIndex(a)) = v }
 
+// NonTxScan implements tm.Engine: the non-zero words on the word
+// store's allocated pages.
+//
+//sitm:allow(yieldlint) workload setup/verification API, called before threads start or after they quiesce
+func (e *Engine) NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64)) {
+	first, end := mem.WordSpan(lo, hi)
+	e.Words.Scan(first, end, func(w uint64, run []uint64) {
+		for j, v := range run {
+			if v != 0 {
+				f(mem.Addr((w+uint64(j))*mem.WordBytes), v)
+			}
+		}
+	})
+}
+
 // Audit is the shared half of the baselines' AuditAccessSets: Base.Audit,
 // and no reader bit or slot held.
 func (e *Engine) Audit() error {

@@ -33,7 +33,7 @@ func (d *Dense[T]) Store(i uint64, x T) {
 }
 
 // Paged is a sparse simulated-storage table standing in for mem.Paged:
-// yieldlint treats its accessors — Range included — as shared-memory
+// yieldlint treats its accessors — Scan included — as shared-memory
 // touches.
 type Paged[T any] struct {
 	v map[uint64]T
@@ -51,10 +51,12 @@ func (p *Paged[T]) Slot(i uint64) *T {
 	return &x
 }
 
-// Range visits every occupied slot: a bulk shared-memory touch.
-func (p *Paged[T]) Range(f func(i uint64, v *T)) {
+// Scan visits the occupied slots in [lo, hi), one run each: a bulk
+// shared-memory touch.
+func (p *Paged[T]) Scan(lo, hi uint64, f func(first uint64, run []T)) {
 	for i := range p.v {
-		x := p.v[i]
-		f(i, &x)
+		if lo <= i && i < hi {
+			f(i, []T{p.v[i]})
+		}
 	}
 }

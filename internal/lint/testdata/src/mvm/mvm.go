@@ -24,5 +24,15 @@ func (m *Memory) Install(a mem.Addr, at uint64, v uint64) {
 	m.words[a] = v
 }
 
+// NonTxScan is a simulated shared-memory access: a ranged walk of the
+// newest versions.
+func (m *Memory) NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64)) {
+	for a := lo; a < hi; a += 8 {
+		if v, ok := m.words[a]; ok {
+			f(a, v)
+		}
+	}
+}
+
 // Stats is metadata, not an access: never a touch.
 func (m *Memory) Stats() int { return len(m.words) }

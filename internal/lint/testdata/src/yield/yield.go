@@ -109,12 +109,12 @@ func (e *Engine) FencedPeek(t *sched.Thread, a mem.Addr) uint64 { // want "expor
 // Stats touches no storage: metadata calls are not accesses.
 func (e *Engine) Stats() int { return e.mem.Stats() }
 
-// SumCharged walks the paged table behind a charge: Range is a touch,
+// SumCharged walks the paged table behind a charge: Scan is a touch,
 // and the Tick covers it.
 func (e *Engine) SumCharged(t *sched.Thread) uint64 {
 	t.Tick(4)
 	var sum uint64
-	e.lines.Range(func(_ uint64, v *uint64) { sum += *v })
+	e.lines.Scan(0, 1<<20, func(_ uint64, run []uint64) { sum += run[0] })
 	return sum
 }
 
@@ -122,7 +122,7 @@ func (e *Engine) SumCharged(t *sched.Thread) uint64 {
 // charge: the bulk touch is flagged like any point access.
 func (e *Engine) SumUncharged() uint64 { // want "exported entry points must charge in their own body"
 	var sum uint64
-	e.lines.Range(func(_ uint64, v *uint64) { sum += *v })
+	e.lines.Scan(0, 1<<20, func(_ uint64, run []uint64) { sum += run[0] })
 	return sum
 }
 
@@ -132,8 +132,24 @@ func (e *Engine) SumUncharged() uint64 { // want "exported entry points must cha
 //sitm:allow(yieldlint) fixture: quiescent verification scan off the scheduled path
 func (e *Engine) AuditLines() uint64 {
 	var sum uint64
-	e.lines.Range(func(_ uint64, v *uint64) { sum += *v })
+	e.lines.Scan(0, 1<<20, func(_ uint64, run []uint64) { sum += run[0] })
 	return sum
+}
+
+// VerifyUncharged sums memory through the ranged non-transactional scan
+// from an exported body with no charge: flagged like a point access.
+func (e *Engine) VerifyUncharged(lo, hi mem.Addr) uint64 { // want "exported entry points must charge in their own body"
+	var sum uint64
+	e.mem.NonTxScan(lo, hi, func(_ mem.Addr, v uint64) { sum += v })
+	return sum
+}
+
+// NonTxScan is the sanctioned quiescent form, like the engines' real
+// NonTxScan.
+//
+//sitm:allow(yieldlint) fixture: verification API, called after every simulated thread has finished
+func (e *Engine) NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64)) {
+	e.mem.NonTxScan(lo, hi, f)
 }
 
 // PrivatePeek certifies a private hit without charging it: a private

@@ -17,7 +17,7 @@ var yieldTouchMethods = map[string]map[string]bool{
 	"mvm": {
 		"ReadWord": true, "ReadLine": true, "NewestTS": true,
 		"NewestLine": true, "Install": true, "Revert": true,
-		"NonTxReadWord": true, "NonTxWriteWord": true,
+		"NonTxReadWord": true, "NonTxWriteWord": true, "NonTxScan": true,
 		"Checkpoint": true, "Rollback": true,
 	},
 	"cache": {
@@ -26,7 +26,7 @@ var yieldTouchMethods = map[string]map[string]bool{
 	},
 	"mem": {
 		"Load": true, "Store": true, "Slot": true, "Slice": true,
-		"Range": true,
+		"Scan": true,
 	},
 }
 

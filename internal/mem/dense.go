@@ -5,6 +5,19 @@ package mem
 // bump allocator, so word numbers are small and dense.
 func WordIndex(a Addr) uint64 { return uint64(a) >> wordShift }
 
+// WordSpan returns the word numbers [first, end) of the word-aligned
+// addresses in [lo, hi): a range scan over a word-indexed table covers
+// exactly those.
+func WordSpan(lo, hi Addr) (first, end uint64) {
+	return wordCeil(lo), wordCeil(hi)
+}
+
+// wordCeil rounds a up to a word number without overflowing at the top
+// of the address space.
+func wordCeil(a Addr) uint64 {
+	return uint64(a)>>wordShift + (uint64(a)&(WordBytes-1)+WordBytes-1)>>wordShift
+}
+
 // Dense is a flat table keyed by small dense indices — word numbers
 // (WordIndex) or line numbers. The simulated address space is bump
 // allocated from address 64 upward, so the engines' per-word values and

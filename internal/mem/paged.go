@@ -159,26 +159,31 @@ func (p *Paged[T]) Reset() {
 	p.dirty = p.dirty[:0]
 }
 
-// Range calls f for every slot of every allocated page in ascending
-// index order — deterministic by construction, like Dense.Slice with the
-// absent pages skipped. Entries in never-touched pages hold the zero
-// value and are not visited; callers already treat zero entries as
-// absent. The *T argument aliases the table slot.
-func (p *Paged[T]) Range(f func(i uint64, v *T)) {
-	if p.ref != nil {
-		for i := range p.ref.v {
-			f(uint64(i), &p.ref.v[i])
+// Scan calls f once per allocated page that meets [lo, hi), in
+// ascending index order, with that page's entries clipped to the range:
+// run[j] is the entry at index first+j. Absent pages are skipped (every
+// entry on them reads as the zero value), as are indices past the spine,
+// so a scan costs time in proportion to the allocated pages it meets,
+// not to the width of the range. Under the dense reference backing Scan
+// makes one call, over the stored prefix clipped to the range. run
+// aliases the table, so f may rewrite entries through it; f must not
+// call Slot or Store, which may move a dense backing.
+func (p *Paged[T]) Scan(lo, hi uint64, f func(first uint64, run []T)) {
+	if r := p.ref; r != nil {
+		hi = min(hi, uint64(len(r.v)))
+		if lo < hi {
+			f(lo, r.v[lo:hi])
 		}
 		return
 	}
-	for pi, pg := range p.pages {
-		if pg == nil {
-			continue
+	hi = min(hi, uint64(len(p.pages))<<pageShift)
+	for lo < hi {
+		pi := lo >> pageShift
+		end := min((pi+1)<<pageShift, hi)
+		if pg := p.pages[pi]; pg != nil {
+			f(lo, pg.v[lo&pageMask:end-pi<<pageShift])
 		}
-		base := uint64(pi) << pageShift
-		for j := range pg.v {
-			f(base+uint64(j), &pg.v[j])
-		}
+		lo = end
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -44,40 +45,71 @@ func TestPagedDifferential(t *testing.T) {
 	}
 }
 
-// TestPagedRangeMatchesReference checks Range visits exactly the slots the
-// reference backing would report as non-zero, in ascending order.
-func TestPagedRangeMatchesReference(t *testing.T) {
-	var fast Paged[uint64]
-	var slow Paged[uint64]
-	slow.SetReference()
-	r := rand.New(rand.NewPCG(7, 7))
-	for k := 0; k < 500; k++ {
-		i := r.Uint64N(8 * PageEntries)
-		v := 1 + r.Uint64N(1000)
-		fast.Store(i, v)
-		slow.Store(i, v)
-	}
-	collect := func(p *Paged[uint64]) map[uint64]uint64 {
-		m := make(map[uint64]uint64)
-		last := int64(-1)
-		p.Range(func(i uint64, v *uint64) {
-			if int64(i) <= last {
-				t.Fatalf("Range out of order: %d after %d", i, last)
+// TestPagedScanMatchesLoad checks Scan against Load on random sparse
+// tables, paged and on the dense reference backing, over random ranges —
+// unaligned, empty and past the spine among them. Visits ascend and stay
+// in range, each visited entry equals Load, each allocated slot in range
+// is visited exactly once, and each slot skipped loads as zero.
+func TestPagedScanMatchesLoad(t *testing.T) {
+	const span = 8 * PageEntries
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, ref := range []bool{false, true} {
+			r := rand.New(rand.NewPCG(seed, 7))
+			var p Paged[uint64]
+			if ref {
+				p.SetReference()
 			}
-			last = int64(i)
-			if *v != 0 {
-				m[i] = *v
+			for k, n := 0, r.IntN(400); k < n; k++ {
+				p.Store(r.Uint64N(span), 1+r.Uint64N(1000))
+				if r.IntN(300) == 0 {
+					p.Reset() // leaves allocated pages of zeros
+				}
 			}
-		})
-		return m
-	}
-	got, want := collect(&fast), collect(&slow)
-	if len(got) != len(want) {
-		t.Fatalf("Range saw %d non-zero slots, reference %d", len(got), len(want))
-	}
-	for i, v := range want {
-		if got[i] != v {
-			t.Fatalf("Range slot %d = %d, reference %d", i, got[i], v)
+			// allocated reports whether slot i has storage: Scan must
+			// visit it, and may visit nothing else.
+			allocated := func(i uint64) bool {
+				if ref {
+					return i < uint64(len(p.ref.v))
+				}
+				pi := i >> pageShift
+				return pi < uint64(len(p.pages)) && p.pages[pi] != nil
+			}
+			bounds := []uint64{0, 1, PageEntries - 1, PageEntries, PageEntries + 1, span - 1, span, span + 3*PageEntries + 5, math.MaxUint64}
+			for q := 0; q < 60; q++ {
+				pick := func() uint64 {
+					if r.IntN(3) == 0 {
+						return bounds[r.IntN(len(bounds))]
+					}
+					return r.Uint64N(span + 2*PageEntries)
+				}
+				lo, hi := pick(), pick()
+				visited := make(map[uint64]bool)
+				next := lo
+				p.Scan(lo, hi, func(first uint64, run []uint64) {
+					if len(run) == 0 {
+						t.Fatalf("seed %d ref %v [%d,%d): empty run at %d", seed, ref, lo, hi, first)
+					}
+					if first < next || first+uint64(len(run)) > hi {
+						t.Fatalf("seed %d ref %v [%d,%d): run [%d,%d) out of order or range", seed, ref, lo, hi, first, first+uint64(len(run)))
+					}
+					for j, v := range run {
+						i := first + uint64(j)
+						if want := p.Load(i); v != want {
+							t.Fatalf("seed %d ref %v: Scan slot %d = %d, Load %d", seed, ref, i, v, want)
+						}
+						visited[i] = true
+					}
+					next = first + uint64(len(run))
+				})
+				for i := lo; i < min(hi, span+4*PageEntries); i++ {
+					if allocated(i) != visited[i] {
+						t.Fatalf("seed %d ref %v [%d,%d): slot %d allocated=%v visited=%v", seed, ref, lo, hi, i, allocated(i), visited[i])
+					}
+					if !visited[i] && p.Load(i) != 0 {
+						t.Fatalf("seed %d ref %v [%d,%d): skipped slot %d loads %d", seed, ref, lo, hi, i, p.Load(i))
+					}
+				}
+			}
 		}
 	}
 }

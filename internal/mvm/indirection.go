@@ -1,6 +1,8 @@
 package mvm
 
 import (
+	"math"
+
 	"repro/internal/clock"
 	"repro/internal/mem"
 )
@@ -65,17 +67,18 @@ func (c *Checkpoint) Rollback() {
 	if c.m.clk.InFlight() > 0 {
 		panic("mvm: rollback with commits in flight")
 	}
-	c.m.lines.Range(func(_ uint64, slot **versionList) {
-		vl := *slot
-		if vl == nil {
-			return
-		}
-		for len(vl.v) > 0 && vl.v[len(vl.v)-1].ts > c.ts {
-			vl.v = vl.v[:len(vl.v)-1]
-		}
-		if len(vl.v) == 0 && !vl.truncated {
-			*slot = nil
-			c.m.nLines--
+	c.m.lines.Scan(0, math.MaxUint64, func(_ uint64, run []*versionList) {
+		for j, vl := range run {
+			if vl == nil {
+				continue
+			}
+			for len(vl.v) > 0 && vl.v[len(vl.v)-1].ts > c.ts {
+				vl.v = vl.v[:len(vl.v)-1]
+			}
+			if len(vl.v) == 0 && !vl.truncated {
+				run[j] = nil
+				c.m.nLines--
+			}
 		}
 	})
 	c.Release()
@@ -108,17 +111,18 @@ func (d DedupStats) SharablePct() float64 {
 func (m *Memory) MeasureDedup() DedupStats {
 	var d DedupStats
 	seen := make(map[[mem.WordsPerLine]uint64]int)
-	m.lines.Range(func(_ uint64, slot **versionList) {
-		vl := *slot
-		if vl == nil || len(vl.v) == 0 {
-			return
+	m.lines.Scan(0, math.MaxUint64, func(_ uint64, run []*versionList) {
+		for _, vl := range run {
+			if vl == nil || len(vl.v) == 0 {
+				continue
+			}
+			d.Lines++
+			data := vl.v[len(vl.v)-1].data
+			if data == ([mem.WordsPerLine]uint64{}) {
+				d.ZeroLines++
+			}
+			seen[data]++
 		}
-		d.Lines++
-		data := vl.v[len(vl.v)-1].data
-		if data == ([mem.WordsPerLine]uint64{}) {
-			d.ZeroLines++
-		}
-		seen[data]++
 	})
 	d.UniqueData = len(seen)
 	for _, n := range seen {

@@ -12,6 +12,7 @@ package mvm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/clock"
 	"repro/internal/mem"
@@ -464,6 +465,58 @@ func (m *Memory) NonTxWriteWord(a mem.Addr, val uint64) {
 	vl.v[len(vl.v)-1].data[mem.WordOf(a)] = val
 }
 
+// NonTxScan reports the non-zero words in [lo, hi) of every line's
+// newest version, in ascending address order. It visits only the lines
+// that have a version list (the others read as zero, §3), so it costs
+// time in proportion to the allocated lines' pages, not to the range.
+//
+//sitm:allow(chargelint) non-transactional verification scan, run after every simulated thread has finished and uncharged by design, like NonTxWriteWord.
+func (m *Memory) NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64)) {
+	first, end := mem.WordSpan(lo, hi)
+	if first >= end {
+		return
+	}
+	lineLo, lineHi := first/mem.WordsPerLine, (end-1)/mem.WordsPerLine+1
+	m.lines.Scan(lineLo, lineHi, func(l0 uint64, run []*versionList) {
+		for j, vl := range run {
+			if vl == nil || len(vl.v) == 0 {
+				continue
+			}
+			w0 := (l0 + uint64(j)) * mem.WordsPerLine
+			data := &vl.v[len(vl.v)-1].data
+			for w := max(w0, first); w < min(w0+mem.WordsPerLine, end); w++ {
+				if v := data[w-w0]; v != 0 {
+					f(mem.Addr(w*mem.WordBytes), v)
+				}
+			}
+		}
+	})
+}
+
+// AuditVersions checks every version list at quiescence: timestamps
+// strictly ascend, and no line holds more than MaxVersions versions
+// unless the policy is Unbounded. It reports the lowest offending line.
+func (m *Memory) AuditVersions() error {
+	var err error
+	m.lines.Scan(0, math.MaxUint64, func(first uint64, run []*versionList) {
+		for j, vl := range run {
+			if err != nil || vl == nil {
+				continue
+			}
+			l := first + uint64(j)
+			if m.cfg.Policy != Unbounded && len(vl.v) > m.cfg.MaxVersions {
+				err = fmt.Errorf("mvm: line %d holds %d versions, bound %d", l, len(vl.v), m.cfg.MaxVersions)
+			}
+			for i := 1; i < len(vl.v) && err == nil; i++ {
+				if vl.v[i].ts <= vl.v[i-1].ts {
+					err = fmt.Errorf("mvm: line %d version %d has timestamp %d after %d", l, i, vl.v[i].ts, vl.v[i-1].ts)
+				}
+			}
+		}
+	})
+	return err
+}
+
 // LinesAllocated returns the number of lines with at least one version.
 func (m *Memory) LinesAllocated() int { return m.nLines }
 
@@ -475,9 +528,11 @@ func (m *Memory) StorePages() int { return m.lines.Pages() }
 // TotalVersions returns the total number of versions currently stored.
 func (m *Memory) TotalVersions() int {
 	n := 0
-	m.lines.Range(func(_ uint64, vl **versionList) {
-		if *vl != nil {
-			n += len((*vl).v)
+	m.lines.Scan(0, math.MaxUint64, func(_ uint64, run []*versionList) {
+		for _, vl := range run {
+			if vl != nil {
+				n += len(vl.v)
+			}
 		}
 	})
 	return n

@@ -1,6 +1,10 @@
 package mvm
 
-import "repro/internal/mem"
+import (
+	"math"
+
+	"repro/internal/mem"
+)
 
 // Overheads quantifies §3.2 of the paper: the indirection layer stores,
 // per cache-line address, four 32-bit version references and four 32-bit
@@ -41,13 +45,14 @@ func (m *Memory) MeasureOverheads(bundleFactor int) Overheads {
 		bundleFactor = 1
 	}
 	o := Overheads{BundleFactor: bundleFactor}
-	m.lines.Range(func(_ uint64, slot **versionList) {
-		vl := *slot
-		if vl == nil || len(vl.v) == 0 {
-			return
+	m.lines.Scan(0, math.MaxUint64, func(_ uint64, run []*versionList) {
+		for _, vl := range run {
+			if vl == nil || len(vl.v) == 0 {
+				continue
+			}
+			o.LinesAllocated++
+			o.VersionsLive += len(vl.v)
 		}
-		o.LinesAllocated++
-		o.VersionsLive += len(vl.v)
 	})
 	o.IndirectionBytes = o.LinesAllocated * entryBytes
 	o.DataBytes = o.VersionsLive * mem.LineBytes

@@ -1,5 +1,7 @@
 package oltp
 
+import "repro/internal/mem"
+
 // MaxZetaMemo is the memo's entry bound.
 const MaxZetaMemo = maxZetaMemo
 
@@ -22,3 +24,9 @@ func ResetZetaMemo() {
 
 // Zetan returns the generator's zeta sum over its n ranks.
 func (z *Zipf) Zetan() float64 { return z.zetan }
+
+// Addr returns the address of key k's value word.
+func (w *KV) Addr(k uint64) mem.Addr { return w.addr(k) }
+
+// Addr returns the address of account k's balance word.
+func (w *Ledger) Addr(k uint64) mem.Addr { return w.addr(k) }

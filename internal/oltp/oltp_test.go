@@ -225,6 +225,48 @@ func TestKVInvariantAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesStrayWriteOnUntouchedPage pins that the validators'
+// scan over stored pages checks what a read of every key checked: on
+// every engine, a finished KV cell and a finished Ledger cell each take
+// one stray non-zero NonTxWrite at the last key, on a page of the span
+// that no transaction touched, and Validate must then fail.
+func TestValidateCatchesStrayWriteOnUntouchedPage(t *testing.T) {
+	for _, engine := range tm.Engines() {
+		kv := oltp.NewKV(0.9)
+		kv.Keys = 1 << 16
+		kv.TxnsPerThread = 10
+		ledger := oltp.NewLedger(0.9)
+		ledger.Accounts = 1 << 16
+		ledger.TxnsPerThread = 10
+		for _, c := range []struct {
+			w    oltp.Workload
+			last func() mem.Addr
+		}{
+			{kv, func() mem.Addr { return kv.Addr(uint64(kv.Keys - 1)) }},
+			{ledger, func() mem.Addr { return ledger.Addr(uint64(ledger.Accounts - 1)) }},
+		} {
+			t.Run(engine+"/"+c.w.Name(), func(t *testing.T) {
+				e, m := runCell(t, engine, c.w, 4, 2)
+				if msg := c.w.Validate(m); msg != "" {
+					t.Fatalf("before the stray write: %s", msg)
+				}
+				// The window is the line-table page holding the last
+				// key, which spans eight word-table pages: nothing may
+				// be stored anywhere in it.
+				key := c.last()
+				lo := mem.WordAddr(mem.LineOf(key)&^(mem.PageEntries-1), 0)
+				e.NonTxScan(lo, lo+mem.PageEntries*mem.LineBytes, func(a mem.Addr, _ uint64) {
+					t.Fatalf("test premise: %#x, on the last key's page, is stored", a)
+				})
+				e.NonTxWrite(key, 1)
+				if msg := c.w.Validate(m); msg == "" {
+					t.Fatal("Validate passed with a stray write on an untouched page")
+				}
+			})
+		}
+	}
+}
+
 // TestDeterministicAcrossRuns pins byte-level stats determinism of the
 // tier: identical cells produce identical counters and histograms.
 func TestDeterministicAcrossRuns(t *testing.T) {

@@ -16,13 +16,14 @@ type fakeEngine struct {
 	st   Stats
 }
 
-func (f *fakeEngine) Begin(*sched.Thread) Txn     { return nil }
-func (f *fakeEngine) Name() string                { return f.name }
-func (f *fakeEngine) Stats() *Stats               { return &f.st }
-func (f *fakeEngine) Promote(string)              {}
-func (f *fakeEngine) NonTxRead(mem.Addr) uint64   { return 0 }
-func (f *fakeEngine) NonTxWrite(mem.Addr, uint64) {}
-func (f *fakeEngine) SetTracer(Tracer)            {}
+func (f *fakeEngine) Begin(*sched.Thread) Txn                              { return nil }
+func (f *fakeEngine) Name() string                                         { return f.name }
+func (f *fakeEngine) Stats() *Stats                                        { return &f.st }
+func (f *fakeEngine) Promote(string)                                       {}
+func (f *fakeEngine) NonTxRead(mem.Addr) uint64                            { return 0 }
+func (f *fakeEngine) NonTxWrite(mem.Addr, uint64)                          {}
+func (f *fakeEngine) NonTxScan(mem.Addr, mem.Addr, func(mem.Addr, uint64)) {}
+func (f *fakeEngine) SetTracer(Tracer)                                     {}
 
 func TestRegistryRoundTrip(t *testing.T) {
 	Register("Fake-A", func(o EngineOptions) Engine { return &fakeEngine{name: "Fake-A", opts: o} })

@@ -124,6 +124,12 @@ type Engine interface {
 	// NonTxWrite stores a word outside any transaction, in place.
 	// Workloads use it for single-threaded initialisation.
 	NonTxWrite(a mem.Addr, v uint64)
+	// NonTxScan calls f, in ascending address order, for every word in
+	// [lo, hi) that may be non-zero, with the value NonTxRead returns;
+	// every word it skips reads as zero through NonTxRead. It costs
+	// time in proportion to the stored pages the range meets, so
+	// workloads use it to verify sparse spans at quiescence.
+	NonTxScan(lo, hi mem.Addr, f func(a mem.Addr, v uint64))
 	// SetTracer installs a trace observer (nil disables tracing).
 	SetTracer(tr Tracer)
 }

@@ -93,3 +93,51 @@ func TestAccessSetQuiescence(t *testing.T) {
 		}
 	}
 }
+
+// TestQuiescenceAfterPinnedSnapshots audits every registered engine after
+// a cell built to fill version lists: one thread commits increments to a
+// hot line while the others run long read-only transactions that each
+// pin a snapshot of it, so on SI-TM and SSI-TM the hot line's version
+// list reaches the bound and the writer takes capacity aborts. The
+// readers outlast the writer, so the writer's last installs happen with
+// snapshots pinned, and AuditAccessSets then checks the version lists'
+// order and bound as well as the access sets.
+func TestQuiescenceAfterPinnedSnapshots(t *testing.T) {
+	for _, name := range tm.Engines() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/s%d", name, seed), func(t *testing.T) {
+				e, err := tm.NewEngine(name, tm.EngineOptions{})
+				if err != nil {
+					t.Fatalf("constructing %s: %v", name, err)
+				}
+				hot := mem.Addr(mem.LineBytes)
+				cold := func(i int) mem.Addr { return mem.Addr((i + 2) * mem.LineBytes) }
+				sched.New(8, seed).Run(func(th *sched.Thread) {
+					if th.ID() == 0 {
+						for i := 0; i < 20; i++ {
+							th.LocalTick(100)
+							_ = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+								tx.Write(hot, tx.Read(hot)+1)
+								return nil
+							})
+						}
+						return
+					}
+					for i := 0; i < 12; i++ {
+						th.LocalTick(uint64(th.ID()) * 97)
+						_ = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+							tx.Read(hot)
+							for j := 0; j < 64; j++ {
+								tx.Read(cold(j))
+							}
+							return nil
+						})
+					}
+				})
+				if err := e.(accessSetAuditor).AuditAccessSets(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}

@@ -23,6 +23,7 @@ package twopl
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	// Imported so the compiler has the bodies of the aset methods that
@@ -104,9 +105,11 @@ func New(cfg Config) *Engine {
 //sitm:allow(yieldlint) quiescent audit scan, runs after every simulated thread has finished
 func (e *Engine) AuditAccessSets() error {
 	err := e.Audit()
-	e.writers.Range(func(i uint64, w **eager.Txn) {
-		if err == nil && *w != nil {
-			err = fmt.Errorf("2PL: line %d holds a writer after quiescence", i)
+	e.writers.Scan(0, math.MaxUint64, func(first uint64, run []*eager.Txn) {
+		for j, w := range run {
+			if err == nil && w != nil {
+				err = fmt.Errorf("2PL: line %d holds a writer after quiescence", first+uint64(j))
+			}
 		}
 	})
 	return err

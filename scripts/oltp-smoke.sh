@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # oltp-smoke: end-to-end determinism check of the serving-workload tier.
 #
-# Renders a small figure-oltp sweep (one KV cell grid at a mild skew)
-# three times with sitm-bench — twice at -workers 1 and once at
-# -workers 2 — and verifies the figure bytes are identical across runs
-# and across worker counts: the Zipfian generator, the paged store and
-# the commit-latency histogram are all deterministic end to end.
+# Renders a small figure-oltp sweep (a KV cell grid at a mild skew and a
+# ledger cell grid at a steep one) three times with sitm-bench — twice at
+# -workers 1 and once at -workers 2 — and verifies the figure bytes are
+# identical across runs and across worker counts: the Zipfian generator,
+# the paged store, the commit-latency histogram and both workloads'
+# validators, which scan only the pages a cell stored to, are all
+# deterministic end to end.
 set -euo pipefail
 
 workdir="$(mktemp -d)"
@@ -15,7 +17,7 @@ trap cleanup EXIT
 cd "$(dirname "$0")/.."
 go build -o "$workdir/sitm-bench" ./cmd/sitm-bench
 
-common=(-oltp -workload kv@0.50 -seeds 1)
+common=(-oltp -workload kv@0.50,ledger@0.99 -seeds 1)
 "$workdir/sitm-bench" "${common[@]}" -workers 1 >"$workdir/run1.txt"
 "$workdir/sitm-bench" "${common[@]}" -workers 1 >"$workdir/run2.txt"
 "$workdir/sitm-bench" "${common[@]}" -workers 2 >"$workdir/run3.txt"
@@ -31,10 +33,11 @@ if ! cmp -s "$workdir/run1.txt" "$workdir/run3.txt"; then
   exit 1
 fi
 
-# The render must actually contain the serving-tier table with its
+# The render must actually contain both serving-tier tables with their
 # quantile columns, not an empty header.
-if ! grep -q 'kv@0.50' "$workdir/run1.txt" || ! grep -q 'p999' "$workdir/run1.txt"; then
-  echo "oltp-smoke: render is missing the kv table or the quantile columns" >&2
+if ! grep -q 'kv@0.50' "$workdir/run1.txt" || ! grep -q 'ledger@0.99' "$workdir/run1.txt" ||
+  ! grep -q 'p999' "$workdir/run1.txt"; then
+  echo "oltp-smoke: render is missing the kv or ledger table or the quantile columns" >&2
   cat "$workdir/run1.txt" >&2
   exit 1
 fi
