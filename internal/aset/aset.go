@@ -45,101 +45,12 @@ func hashLine(l mem.Line) uint64 { return (uint64(l) + 1) * hashMul }
 // and table misses stay independent.
 func sigBit(h uint64) uint64 { return 1 << ((h >> 50) & 63) }
 
-// LineSet is a set of cache lines: a power-of-two open-addressing table
-// with linear probing, a Bloom signature for O(1) miss rejection, and
-// first-insertion iteration order. The zero value is an empty set.
-type LineSet struct {
-	sig   uint64
-	shift uint8
-	tab   []uint64 // line+1 per slot; 0 = empty
-	lines []mem.Line
-	slots []uint32 // lines[i] occupies tab[slots[i]]
-}
-
-// Len returns the number of lines in the set.
-func (s *LineSet) Len() int { return len(s.lines) }
-
-// Lines returns the set's lines in first-insertion order (shared slice;
-// callers must not modify it, and Reset invalidates it).
-func (s *LineSet) Lines() []mem.Line { return s.lines }
-
-// Contains reports whether l is in the set. The signature rejects most
-// misses with a single AND.
-func (s *LineSet) Contains(l mem.Line) bool {
-	h := hashLine(l)
-	if s.sig&sigBit(h) == 0 {
-		return false
-	}
-	mask := uint64(len(s.tab) - 1)
-	k := uint64(l) + 1
-	for i := h >> s.shift; ; i = (i + 1) & mask {
-		switch s.tab[i] {
-		case k:
-			return true
-		case 0:
-			return false
-		}
-	}
-}
-
-// Add inserts l and reports whether it was absent.
-func (s *LineSet) Add(l mem.Line) bool {
-	if 2*len(s.lines) >= len(s.tab) {
-		s.grow()
-	}
-	h := hashLine(l)
-	mask := uint64(len(s.tab) - 1)
-	k := uint64(l) + 1
-	i := h >> s.shift
-	for s.tab[i] != 0 {
-		if s.tab[i] == k {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-	s.tab[i] = k
-	s.sig |= sigBit(h)
-	s.lines = append(s.lines, l)
-	s.slots = append(s.slots, uint32(i))
-	return true
-}
-
-// Reset empties the set in O(touched): only the slots the set's lines
-// occupy are cleared, so the grown table capacity survives for the next
-// transaction without a rehash.
-func (s *LineSet) Reset() {
-	for _, slot := range s.slots {
-		s.tab[slot] = 0
-	}
-	s.lines = s.lines[:0]
-	s.slots = s.slots[:0]
-	s.sig = 0
-}
-
-// grow doubles the table (allocating the minimum on first use) and
-// rehashes the existing lines, recording their new slots.
-func (s *LineSet) grow() {
-	n := 2 * len(s.tab)
-	if n < minTable {
-		n = minTable
-	}
-	s.tab = make([]uint64, n)
-	s.shift = uint8(64 - bits.TrailingZeros(uint(n)))
-	mask := uint64(n - 1)
-	for j, l := range s.lines {
-		i := hashLine(l) >> s.shift
-		for s.tab[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.tab[i] = uint64(l) + 1
-		s.slots[j] = uint32(i)
-	}
-}
-
-// LineMap is a map from cache lines to values of type T with the LineSet
-// layout plus a value lane: values live in a slot-parallel slab, so
-// entries are index-linked rather than pointer-allocated and a recycled
-// transaction reuses the slab in place. The zero value is an empty map.
+// LineMap is a map from cache lines to values of type T: a power-of-two
+// open-addressing table with linear probing, a Bloom signature for O(1)
+// miss rejection, and first-insertion iteration order. Values live in a
+// slot-parallel slab, so entries are index-linked rather than
+// pointer-allocated and a recycled transaction reuses the slab in place.
+// LineMap[struct{}] is a set of lines. The zero value is an empty map.
 //
 // Value pointers returned by Get/Put/At are invalidated by the next Put
 // (which may grow the table) and by Reset.

@@ -7,16 +7,17 @@ import (
 	"repro/internal/mem"
 )
 
-// TestLineSetMatchesMap drives a LineSet and a reference Go map with the
-// same random stream — adds, membership probes and periodic resets over
-// a skewed key range — and requires identical answers at every step plus
+// TestLineSetMatchesMap drives a line set (a LineMap[struct{}], as SI-TM
+// keeps its promoted and read lines) and a reference Go map with the same
+// random stream — adds, membership probes and periodic resets over a
+// skewed key range — and requires identical answers at every step plus
 // identical first-insertion order. This is the property the engines'
 // byte-identical figures rest on: the open-addressing table must be
 // observably a map with deterministic iteration order.
 func TestLineSetMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		var s LineSet
+		var s LineMap[struct{}]
 		ref := map[mem.Line]bool{}
 		var refOrder []mem.Line
 		for op := 0; op < 20000; op++ {
@@ -32,14 +33,14 @@ func TestLineSetMatchesMap(t *testing.T) {
 				ref = map[mem.Line]bool{}
 				refOrder = refOrder[:0]
 			case 1, 2: // membership probe
-				if got, want := s.Contains(l), ref[l]; got != want {
-					t.Fatalf("seed %d op %d: Contains(%d) = %v, want %v", seed, op, l, got, want)
+				if got, want := s.Has(l), ref[l]; got != want {
+					t.Fatalf("seed %d op %d: Has(%d) = %v, want %v", seed, op, l, got, want)
 				}
 			default: // add
-				got := s.Add(l)
+				_, got := s.Put(l)
 				want := !ref[l]
 				if got != want {
-					t.Fatalf("seed %d op %d: Add(%d) = %v, want %v", seed, op, l, got, want)
+					t.Fatalf("seed %d op %d: Put(%d) inserted = %v, want %v", seed, op, l, got, want)
 				}
 				if want {
 					ref[l] = true
@@ -159,10 +160,10 @@ func TestLineMapValuesSurviveGrowth(t *testing.T) {
 // transaction-sized reuse of the set allocates nothing and observes a
 // pristine value lane.
 func TestResetKeepsCapacity(t *testing.T) {
-	var s LineSet
+	var s LineMap[struct{}]
 	var w WriteLog
 	for i := 0; i < 128; i++ {
-		s.Add(mem.Line(i))
+		s.Put(mem.Line(i))
 		w.Store(mem.WordAddr(mem.Line(i), i%mem.WordsPerLine), uint64(i))
 	}
 	s.Reset()
@@ -175,11 +176,11 @@ func TestResetKeepsCapacity(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 128; i++ {
-			s.Add(mem.Line(i))
+			s.Put(mem.Line(i))
 			w.Store(mem.WordAddr(mem.Line(i), i%mem.WordsPerLine), uint64(i))
 		}
 		for i := 0; i < 128; i++ {
-			if !s.Contains(mem.Line(i)) {
+			if !s.Has(mem.Line(i)) {
 				t.Fatal("lost line after reset")
 			}
 		}
@@ -192,23 +193,23 @@ func TestResetKeepsCapacity(t *testing.T) {
 }
 
 // TestSignatureRejectsWithoutProbe checks the Bloom fast path is wired:
-// an empty set with a nil table answers Contains without touching table
+// an empty set with a nil table answers Has without touching table
 // memory (no panic, no allocation), and a populated signature never
 // produces a false negative.
 func TestSignatureRejectsWithoutProbe(t *testing.T) {
-	var s LineSet
-	if s.Contains(42) {
+	var s LineMap[struct{}]
+	if s.Has(42) {
 		t.Fatal("empty set claims membership")
 	}
 	r := rand.New(rand.NewSource(7))
 	var added []mem.Line
 	for i := 0; i < 300; i++ {
 		l := mem.Line(r.Uint64() >> 40)
-		s.Add(l)
+		s.Put(l)
 		added = append(added, l)
 	}
 	for _, l := range added {
-		if !s.Contains(l) {
+		if !s.Has(l) {
 			t.Fatalf("false negative for %d", l)
 		}
 	}
@@ -273,19 +274,19 @@ func TestReadersEpochValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkLineSet measures the membership probes the engines issue per
-// simulated access: a signature-rejected miss (the overwhelmingly common
-// case) and a table hit.
+// BenchmarkLineSet measures the membership probes SI-TM issues on a line
+// set (a LineMap[struct{}]): a signature-rejected miss (the overwhelmingly
+// common case) and a table hit.
 func BenchmarkLineSet(b *testing.B) {
-	var s LineSet
+	var s LineMap[struct{}]
 	for i := 0; i < 32; i++ {
-		s.Add(mem.Line(i * 3))
+		s.Put(mem.Line(i * 3))
 	}
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
 		sink := false
 		for i := 0; i < b.N; i++ {
-			sink = s.Contains(mem.Line(1_000_000 + i))
+			sink = s.Has(mem.Line(1_000_000 + i))
 		}
 		_ = sink
 	})
@@ -293,7 +294,7 @@ func BenchmarkLineSet(b *testing.B) {
 		b.ReportAllocs()
 		sink := false
 		for i := 0; i < b.N; i++ {
-			sink = s.Contains(mem.Line((i % 32) * 3))
+			sink = s.Has(mem.Line((i % 32) * 3))
 		}
 		_ = sink
 	})

@@ -51,7 +51,7 @@ func (r *Readers[T]) Compact(live func(T, uint64) bool) {
 
 // CompactAdd compacts the list and appends a record for tx. The caller
 // guarantees tx is not already live in the list (SSI-TM dedups with a
-// per-transaction LineSet before registering); a stale record for the
+// per-transaction line set before registering); a stale record for the
 // same object is removed by the compaction.
 func (r *Readers[T]) CompactAdd(tx T, epoch uint64, live func(T, uint64) bool) {
 	r.Compact(live)

@@ -249,24 +249,27 @@ type txn struct {
 	// are validated like writes but create no versions. Iteration order
 	// is first-promotion order, so commit-time cycle charging is
 	// deterministic.
-	promoted aset.LineSet
+	promoted aset.LineMap[struct{}]
 
 	// SSI-TM state (§5.2). The flags record rw-antidependency edges:
 	// outFlag means this transaction read a line a concurrent
 	// transaction (later) wrote (edge this -> other); inFlag means a
 	// concurrent transaction read a line this transaction wrote (edge
 	// other -> this). A transaction with both — a dangerous structure —
-	// aborts. Reader records persist after commit (like SIREAD locks)
-	// until no overlapping transaction remains, so committed pivots are
-	// still detected; reads dedups this transaction's own registrations.
-	reads aset.LineSet
+	// aborts. inFlag is set only on a committer, by its own
+	// ssiWriterCheck, or on a committed writer, by trackRead's read-side
+	// rule, so a transaction still reading never has it and those two
+	// checks decide every dangerous structure. Reader records persist
+	// after commit (like SIREAD locks) until no overlapping transaction
+	// remains, so committed pivots are still detected; reads dedups this
+	// transaction's own registrations.
+	reads aset.LineMap[struct{}]
 	// hadReads records that this incarnation registered at least one
 	// visible-reader record; canRecycle consults it after reads has been
 	// Reset.
 	hadReads bool
 	inFlag   bool
 	outFlag  bool
-	doomed   bool
 
 	committed bool
 	end       clock.Timestamp // end timestamp once committed
@@ -306,7 +309,7 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	}
 	tx.start = e.clk.Begin()
 	tx.epoch++
-	tx.hadReads, tx.inFlag, tx.outFlag, tx.doomed, tx.committed = false, false, false, false, false
+	tx.hadReads, tx.inFlag, tx.outFlag, tx.committed = false, false, false, false
 	tx.end = 0
 	e.active.Register(tx.start)
 	e.Open(&tx.Attempt, tx, t) // charges the timestamp-counter increment
@@ -393,7 +396,7 @@ func (x *txn) read(a mem.Addr) uint64 {
 // ReadPromoted implements tm.Txn: the read participates in commit-time
 // conflict detection like a write, but creates no data version (§5.1).
 func (x *txn) ReadPromoted(a mem.Addr) uint64 {
-	x.promoted.Add(mem.LineOf(a))
+	x.promoted.Put(mem.LineOf(a))
 	return x.read(a)
 }
 
@@ -433,17 +436,13 @@ func (x *txn) privateHit(line mem.Line) (lat uint64, ok bool) {
 // pivot, which only this reader can break by aborting (§5.2; the
 // read-side dual of ssiWriterCheck's committed-pivot rule).
 func (x *txn) trackRead(line mem.Line) {
-	x.checkDoom(line)
-	if x.reads.Add(line) {
+	if _, added := x.reads.Put(line); added {
 		x.hadReads = true
 		rs, _ := x.e.readers.Put(line)
 		rs.CompactAdd(x, x.epoch, x.e.liveReader)
 	}
 	if x.e.mem.NewestTS(line) > x.start {
 		x.outFlag = true
-		if x.inFlag {
-			x.abortInternal(tm.AbortSkew, line)
-		}
 		if rec, ok := x.e.lastWriter.Get(line); ok {
 			w := rec.tx
 			if w != x && w.epoch == rec.epoch && w.committed && w.end > x.start {
@@ -453,13 +452,6 @@ func (x *txn) trackRead(line mem.Line) {
 				}
 			}
 		}
-	}
-}
-
-// checkDoom aborts a transaction that a committing writer marked dangerous.
-func (x *txn) checkDoom(line mem.Line) {
-	if x.doomed {
-		x.abortInternal(tm.AbortSkew, line)
 	}
 }
 
@@ -528,10 +520,6 @@ func (x *txn) Leaks() error {
 func (x *txn) Commit() error {
 	if x.Finished {
 		panic("core: Commit on finished transaction")
-	}
-	// SSI-TM dangerous-structure checks accumulated during execution.
-	if x.e.cfg.Serializable && (x.doomed || (x.inFlag && x.outFlag)) {
-		return x.commitAbort(0, tm.AbortSkew)
 	}
 	if x.Writes.Len() == 0 && x.promoted.Len() == 0 {
 		// Read-only: no end timestamp, no checks (§4.2). Under
@@ -697,9 +685,9 @@ func (x *txn) trueConflict(line mem.Line, mask uint8, snap *[mem.WordsPerLine]ui
 
 // ssiWriterCheck records rw antidependencies from concurrent visible
 // readers of the lines this transaction is committing (§5.2). An active
-// reader that now has both flags is doomed; a committed concurrent reader
-// that already had an incoming edge is a pivot this transaction cannot
-// serialize around, so this transaction aborts.
+// reader gains an outgoing edge, which its own commit checks; a committed
+// concurrent reader that already had an incoming edge is a pivot this
+// transaction cannot serialize around, so this transaction aborts.
 func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 	// Flags are applied to every concurrent reader of every written
 	// line before the dangerous-structure verdict, so the outcome does
@@ -737,9 +725,6 @@ func (x *txn) ssiWriterCheck(end clock.Timestamp) error {
 			}
 			// rw edge r -> x between active transactions.
 			r.outFlag = true
-			if r.inFlag {
-				r.doomed = true
-			}
 			x.inFlag = true
 		}
 	}
@@ -762,12 +747,5 @@ func (x *txn) commitAbortReserved(end clock.Timestamp, line mem.Line, kind tm.Ab
 	x.resetAccessSets()
 	x.Aborted(kind) // critical section over: re-publishes the slack
 	x.Thread.WakeAll()
-	return &tm.AbortError{Kind: kind, Line: line}
-}
-
-// commitAbort aborts before an end timestamp was reserved.
-func (x *txn) commitAbort(line mem.Line, kind tm.AbortKind) error {
-	x.release()
-	x.Aborted(kind)
 	return &tm.AbortError{Kind: kind, Line: line}
 }

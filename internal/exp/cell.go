@@ -33,8 +33,9 @@ type Scalable interface {
 // plain serializable form: together with the Cell itself (workload,
 // engine, threads, seed) and the code provenance it fully determines the
 // cell's result. Every field participates in the content-address
-// (Provenance.CellKey), so two cells with different configs never share a
-// cache entry.
+// (Provenance.CellKey hashes its JSON), so two cells with different
+// configs never share a cache entry. harness.Options embeds it, so this
+// is the one description of a cell's configuration.
 type CellConfig struct {
 	// WordGranularity enables SI-TM's §4.2 word-level conflict filter.
 	WordGranularity bool `json:"word_granularity,omitempty"`
@@ -48,7 +49,11 @@ type CellConfig struct {
 	// NoXlate disables the translation cache (ablation).
 	NoXlate bool `json:"no_xlate,omitempty"`
 	// NoBackoff replaces the tuned exponential backoff with a minimal
-	// constant delay (§6.4 ablation).
+	// constant (jittered, non-growing) delay — the §6.4 ablation
+	// ("without exponential backoff 2PL and CS show even higher abort
+	// rates"). A literal zero delay would let the eager engines
+	// livelock forever under the deterministic scheduler, which is the
+	// very pathology the paper's tuning avoids.
 	NoBackoff bool `json:"no_backoff,omitempty"`
 	// Scale multiplies workload input sizes; values <= 1 mean the fast
 	// defaults.
@@ -62,9 +67,10 @@ type CellConfig struct {
 	RefSched bool `json:"ref_sched,omitempty"`
 	// PerEvent runs the tree conductor with horizon batching disabled
 	// (sched.Sim.SetPerEvent): every charge goes through the per-event
-	// protocol. It is the differential baseline the batched conductor is
-	// pinned against, and the reference point for the coroutine-switch
-	// counters in sched_stats.
+	// protocol. Figures are byte-identical either way: it is the
+	// differential baseline the batched conductor is pinned against, and
+	// the reference point for the coroutine-switch counters in
+	// sched_stats.
 	PerEvent bool `json:"per_event,omitempty"`
 	// RefCache runs the cell with the reference memory-hierarchy model
 	// (cache.SlowHierarchy) instead of the way-predicted fast path.
@@ -97,9 +103,7 @@ func (c CellConfig) engineOptions() tm.EngineOptions {
 // uses the tuned exponential backoff (the RSTM retry loops the paper
 // builds on back off unconditionally); the paper additionally notes the
 // two eager mechanisms *depend* on it to avoid livelock (§6.4) — the
-// NoBackoff ablation shows that dependence. A literal zero delay would
-// let the eager engines livelock forever under the deterministic
-// scheduler, which is the very pathology the paper's tuning avoids.
+// NoBackoff ablation shows that dependence.
 func (c CellConfig) backoff() tm.BackoffConfig {
 	if c.NoBackoff {
 		return tm.BackoffConfig{Enabled: true, Base: 32, MaxShift: 0}

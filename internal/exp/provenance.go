@@ -2,6 +2,7 @@ package exp
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -68,22 +69,24 @@ func (p Provenance) engineFingerprint(engine string) string {
 }
 
 // CellKey content-addresses one cell result: a hex SHA-256 over the cell
-// coordinates, the full cell configuration, the Go version and the
-// relevant source fingerprints. The schema is versioned; bump the prefix
-// when the key composition changes.
+// coordinates, the JSON encoding of the cell configuration (the same
+// encoding a sweep lease carries), the Go version and the relevant source
+// fingerprints. Every CellConfig field is omitempty, so a field added off
+// by default leaves existing keys alone. The schema is versioned; bump the
+// prefix when the key composition changes.
 func (p Provenance) CellKey(c Cell, cfg CellConfig) string {
-	scale := cfg.Scale
-	if scale < 1 {
-		scale = 1 // the cell layer treats Scale<=1 as the fast defaults
+	if cfg.Scale <= 1 {
+		cfg.Scale = 0 // the cell layer treats Scale<=1 as the fast defaults
+	}
+	config, err := json.Marshal(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: encoding cell config: %v", err))
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "sitm-cell-v2\n")
+	fmt.Fprintf(&b, "sitm-cell-v3\n")
 	fmt.Fprintf(&b, "workload=%s\nengine=%s\nthreads=%d\nseed=%d\n",
 		strings.ToLower(c.Workload), strings.ToLower(c.Engine), c.Threads, c.Seed)
-	fmt.Fprintf(&b, "word=%t\nunbounded=%t\ndropoldest=%t\nnocoalescing=%t\nnoxlate=%t\nnobackoff=%t\nscale=%d\nmeasuremvm=%t\n",
-		cfg.WordGranularity, cfg.UnboundedVersions, cfg.DropOldest, cfg.NoCoalescing,
-		cfg.NoXlate, cfg.NoBackoff, scale, cfg.MeasureMVM)
-	fmt.Fprintf(&b, "refsched=%t\nrefcache=%t\nrefsets=%t\nrefstore=%t\n", cfg.RefSched, cfg.RefCache, cfg.RefSets, cfg.RefStore)
+	fmt.Fprintf(&b, "config=%s\n", config)
 	fmt.Fprintf(&b, "go=%s\nsim=%s\nenginesrc=%s\n", p.GoVersion, p.Sim, p.engineFingerprint(c.Engine))
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }

@@ -4,6 +4,7 @@ import (
 	"go/build"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,27 +149,32 @@ func TestProvenanceUnavailableCannotCache(t *testing.T) {
 	}
 }
 
+// TestCellKeySeparatesConfigs walks CellConfig by reflection, so a field
+// added to the configuration is covered without editing the test: setting
+// any one field gives a key distinct from the default's and from every
+// other field's.
 func TestCellKeySeparatesConfigs(t *testing.T) {
 	p := ProvenanceAt(writeTree(t))
 	c := Cell{Workload: "List", Engine: "SI-TM", Threads: 8, Seed: 1}
 	base := p.CellKey(c, CellConfig{})
-	seen := map[string]string{"base": base}
-	for name, cfg := range map[string]CellConfig{
-		"word":       {WordGranularity: true},
-		"unbounded":  {UnboundedVersions: true},
-		"dropoldest": {DropOldest: true},
-		"nobackoff":  {NoBackoff: true},
-		"scale":      {Scale: 3},
-		"mvm":        {MeasureMVM: true},
-		"refsched":   {RefSched: true},
-	} {
-		key := p.CellKey(c, cfg)
-		for prev, pk := range seen {
-			if pk == key {
-				t.Errorf("config %q collides with %q", name, prev)
-			}
+	seen := map[string]string{base: "default"}
+	typ := reflect.TypeOf(CellConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		var cfg CellConfig
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(2) // Scale 1 is the default's
+		default:
+			t.Fatalf("CellConfig.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
 		}
-		seen[name] = key
+		key := p.CellKey(c, cfg)
+		if prev, ok := seen[key]; ok {
+			t.Errorf("CellConfig.%s shares a key with %s", typ.Field(i).Name, prev)
+		}
+		seen[key] = typ.Field(i).Name
 	}
 	// Scale <= 1 normalises to the fast defaults.
 	if p.CellKey(c, CellConfig{Scale: 1}) != base || p.CellKey(c, CellConfig{}) != base {

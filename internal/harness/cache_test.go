@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 
 	"repro/internal/exp"
@@ -154,5 +155,40 @@ func TestPlanFigureCoversFigureSweep(t *testing.T) {
 		if computed != 0 {
 			t.Errorf("%s: render recomputed %d cells not covered by PlanFigure", figure, computed)
 		}
+	}
+}
+
+// TestPerEventCellsMissBatchedCache renders Figure 7 batched and then
+// per-event on one cache. The per-event cells must not be served from the
+// batched entries: the figures match, but the per-event records must
+// report no batched events, which a reused batched record does.
+func TestPerEventCellsMissBatchedCache(t *testing.T) {
+	o := cachedOpts(t)
+	o.Only = []string{"List"}
+	var buf bytes.Buffer
+	Figure7(&buf, o) // batched: populates the cache
+
+	var mu sync.Mutex
+	hits, cells := 0, 0
+	o.PerEvent = true
+	o.Progress = func(p exp.Progress) {
+		if p.Cached {
+			hits++
+		}
+	}
+	o.CellDone = func(c exp.Cell, res exp.CellResult) {
+		mu.Lock()
+		defer mu.Unlock()
+		cells++
+		if res.Sched.BatchedEvents != 0 {
+			t.Errorf("%s: per-event cell reports %d batched events", c, res.Sched.BatchedEvents)
+		}
+	}
+	Figure7(&buf, o)
+	if hits != 0 {
+		t.Errorf("per-event render served %d of %d cells from the batched run's cache entries", hits, cells)
+	}
+	if cells == 0 {
+		t.Fatal("per-event render completed no cells")
 	}
 }

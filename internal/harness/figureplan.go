@@ -55,21 +55,21 @@ var sections = []section{
 	{
 		name: "figure1",
 		cells: func(threads int, o Options) grid {
-			return grid{o.filterWorkloads(Fig1Workloads), []EngineKind{TwoPL}, []int{threads}, o.Seeds, o.cellConfig()}
+			return grid{o.filterWorkloads(Fig1Workloads), []EngineKind{TwoPL}, []int{threads}, o.Seeds, o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderFigure1(w, g, rs) },
 	},
 	{
 		name: "figure7",
 		cells: func(_ int, o Options) grid {
-			return grid{o.filterWorkloads(registryNames()), fig7Engines, Fig7Threads, o.Seeds, o.cellConfig()}
+			return grid{o.filterWorkloads(registryNames()), fig7Engines, Fig7Threads, o.Seeds, o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderFigure7(w, g, rs) },
 	},
 	{
 		name: "figure8",
 		cells: func(_ int, o Options) grid {
-			return grid{o.filterWorkloads(registryNames()), fig7Engines, Fig8Threads, o.Seeds, o.cellConfig()}
+			return grid{o.filterWorkloads(registryNames()), fig7Engines, Fig8Threads, o.Seeds, o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderFigure8(w, g, rs) },
 	},
@@ -77,7 +77,7 @@ var sections = []section{
 		name: "table2",
 		cells: func(threads int, o Options) grid {
 			o.UnboundedVersions = true
-			return grid{o.filterWorkloads(registryNames()), []EngineKind{SITM}, []int{threads}, o.Seeds, o.cellConfig()}
+			return grid{o.filterWorkloads(registryNames()), []EngineKind{SITM}, []int{threads}, o.Seeds, o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderTable2(w, g, rs) },
 	},
@@ -86,15 +86,15 @@ var sections = []section{
 		// runs the first seed only.
 		name: "mvm",
 		cells: func(threads int, o Options) grid {
-			o.measureMVM = true
-			return grid{o.filterWorkloads(registryNames()), []EngineKind{SITM}, []int{threads}, o.Seeds[:1], o.cellConfig()}
+			o.MeasureMVM = true
+			return grid{o.filterWorkloads(registryNames()), []EngineKind{SITM}, []int{threads}, o.Seeds[:1], o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderMVMReport(w, g, rs) },
 	},
 	{
 		name: "figure-oltp",
 		cells: func(_ int, o Options) grid {
-			return grid{oltpFigureNames(o), fig7Engines, OLTPThreads, o.Seeds, o.cellConfig()}
+			return grid{oltpFigureNames(o), fig7Engines, OLTPThreads, o.Seeds, o.CellConfig}
 		},
 		render: func(w io.Writer, g grid, rs cellResults) any { return renderFigureOLTP(w, g, rs) },
 	},

@@ -96,65 +96,18 @@ type Options struct {
 	// fingerprints) is already stored are served without simulating.
 	// Figure bytes are identical either way.
 	Cache *exp.Cache
-	// NoBackoff replaces the tuned exponential backoff with a minimal
-	// constant (jittered, non-growing) delay — the §6.4 ablation
-	// ("without exponential backoff 2PL and CS show even higher abort
-	// rates"). A literal zero delay would let the eager engines
-	// livelock forever under the deterministic scheduler, which is the
-	// very pathology the paper's tuning avoids.
-	NoBackoff bool
-	// UnboundedVersions configures SI-TM's MVM with no version bound
-	// (the Table 2 / Appendix A measurement).
-	UnboundedVersions bool
-	// WordGranularity enables SI-TM's §4.2 word-level conflict filter.
-	WordGranularity bool
-	// NoCoalescing disables version coalescing (ablation).
-	NoCoalescing bool
-	// DropOldest selects the alternative version-overflow policy.
-	DropOldest bool
-	// NoXlate disables the translation cache (ablation).
-	NoXlate bool
-	// Scale multiplies workload input sizes (1 = the fast defaults;
-	// larger values approach the paper's configurations at the cost of
-	// wall-clock time). At most MaxScale.
-	Scale int
-	// PerEvent runs the fast tree conductor with horizon batching
-	// disabled: every charge goes through the per-event protocol, as it
-	// did before multi-event quanta existed. Figures are byte-identical
-	// either way — the knob exists as the differential baseline for the
-	// batched conductor and as the reference point for the
-	// coroutine-switch counters in sched_stats.
-	PerEvent bool
+	// CellConfig configures every simulated cell: the ablations, the
+	// version policies, Scale (at most MaxScale) and the reference
+	// variants. A section may adjust it, as Table 2 sets
+	// UnboundedVersions. With the cell's coordinates and the source
+	// fingerprints it makes up the cell's cache key.
+	exp.CellConfig
 	// CellDone, when non-nil, receives every completed cell and its
 	// full result record (the benchmark harness sums makespans into a
 	// simulated-throughput figure and accumulates scheduler counters).
 	// It is called from worker goroutines concurrently; callers must
 	// synchronise, e.g. with a mutex or atomic counters.
 	CellDone func(c exp.Cell, res exp.CellResult)
-
-	// measureMVM additionally runs the §3.1–§3.3 MVM measurements
-	// (overheads, dedup) per cell; set internally by the mvm section.
-	measureMVM bool
-	// refSched runs every cell under the reference conductor
-	// (sched.Sim.RunChoose with sched.DefaultChooser) instead of the
-	// inline fast path; the differential tests use it to pin
-	// byte-identical figure output.
-	refSched bool
-	// refCache runs every cell with the reference memory-hierarchy
-	// model (cache.SlowHierarchy) instead of the way-predicted fast
-	// path; the differential tests use it to pin byte-identical figure
-	// output.
-	refCache bool
-	// refSets runs every cell with the reference map-based access-set
-	// implementation (each engine's slow.go) instead of the
-	// signature-backed internal/aset fast path; the differential tests
-	// use it to pin byte-identical figure output.
-	refSets bool
-	// refStore runs every cell with the retained dense mem backing
-	// behind the engines' per-line tables and presence filters instead
-	// of the paged O(touched) store; the differential tests use it to
-	// pin byte-identical figure output.
-	refStore bool
 }
 
 // DefaultOptions returns the evaluation defaults.
@@ -166,27 +119,6 @@ func (o Options) withDefaults() Options {
 		o.Seeds = []uint64{1, 2, 3}
 	}
 	return o
-}
-
-// cellConfig maps the harness knobs onto the cell layer's serializable
-// cell configuration — the part of Options that participates in cache
-// keys because it changes simulated results.
-func (o Options) cellConfig() exp.CellConfig {
-	return exp.CellConfig{
-		WordGranularity:   o.WordGranularity,
-		UnboundedVersions: o.UnboundedVersions,
-		DropOldest:        o.DropOldest,
-		NoCoalescing:      o.NoCoalescing,
-		NoXlate:           o.NoXlate,
-		NoBackoff:         o.NoBackoff,
-		Scale:             o.Scale,
-		MeasureMVM:        o.measureMVM,
-		RefSched:          o.refSched,
-		PerEvent:          o.PerEvent,
-		RefCache:          o.refCache,
-		RefSets:           o.refSets,
-		RefStore:          o.refStore,
-	}
 }
 
 // cellRunner assembles the cell layer's executor for these options and
@@ -304,7 +236,7 @@ func Run(kind EngineKind, factory func() Workload, threads int, o Options) Resul
 	for _, seed := range o.Seeds {
 		plan = append(plan, exp.Cell{Workload: name, Engine: kind, Threads: threads, Seed: seed})
 	}
-	cr := o.cellRunner(o.cellConfig())
+	cr := o.cellRunner(o.CellConfig)
 	cr.Resolve = func(string) (func() Workload, error) { return factory, nil }
 	rs, err := cr.Run(plan)
 	if err != nil {

@@ -48,10 +48,10 @@ func TestFiguresByteIdenticalFastVsSlow(t *testing.T) {
 		name string
 		set  func(*Options)
 	}{
-		{"sched", func(o *Options) { o.refSched = true }},
-		{"cache", func(o *Options) { o.refCache = true }},
-		{"sets", func(o *Options) { o.refSets = true }},
-		{"store", func(o *Options) { o.refStore = true }},
+		{"sched", func(o *Options) { o.RefSched = true }},
+		{"cache", func(o *Options) { o.RefCache = true }},
+		{"sets", func(o *Options) { o.RefSets = true }},
+		{"store", func(o *Options) { o.RefStore = true }},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			ro := o

@@ -20,7 +20,7 @@ func TestOLTPFigureByteIdenticalFastVsSlowStore(t *testing.T) {
 	}
 	o := Options{Seeds: []uint64{1}, Only: []string{"kv@0.50"}}
 	fast := render(o)
-	o.refStore = true
+	o.RefStore = true
 	slow := render(o)
 	if !bytes.Equal(fast, slow) {
 		t.Fatalf("figure-oltp output diverges between store backings:\n--- fast ---\n%s\n--- slow ---\n%s", fast, slow)

@@ -3,11 +3,12 @@ package harness
 import (
 	"testing"
 
+	"repro/internal/exp"
 	"repro/internal/micro"
 )
 
 func TestScaleOptionGrowsWorkloads(t *testing.T) {
-	o := Options{Seeds: []uint64{1}, Scale: 2}
+	o := Options{Seeds: []uint64{1}, CellConfig: exp.CellConfig{Scale: 2}}
 	base := Run(SITM, func() Workload { return micro.NewList() }, 2, Options{Seeds: []uint64{1}})
 	scaled := Run(SITM, func() Workload { return micro.NewList() }, 2, o)
 	if scaled.Commits <= base.Commits {

@@ -32,8 +32,9 @@ New constructor.
 A mem.Line-keyed map in an engine package reintroduces the map-backed
 access tracking the aset fast path replaced: it allocates per
 transaction, hashes per access, and resets in O(capacity). Use
-aset.LineSet / aset.LineMap / aset.WriteLog; the only map-based sets
-allowed are in slow.go, the unchanged reference oracle.`,
+aset.LineMap (LineMap[struct{}] for a set of lines) or aset.WriteLog;
+the only map-based sets allowed are in slow.go, the unchanged reference
+oracle.`,
 	Run: runEngineLint,
 }
 
@@ -118,7 +119,7 @@ func checkLineMaps(pass *Pass) {
 			if key == nil || !isMemLine(key) {
 				return true
 			}
-			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineSet/LineMap/WriteLog); map-based tracking is allowed only in slow.go, the reference oracle")
+			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineMap/WriteLog); map-based tracking is allowed only in slow.go, the reference oracle")
 			return true
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -336,5 +337,43 @@ func TestSpecDefaultsAndHash(t *testing.T) {
 	}
 	if tinySpec().hash() != tinySpec().hash() {
 		t.Fatal("hash must be deterministic")
+	}
+}
+
+// TestSpecHashCoversEveryField walks Spec by reflection: setting any one
+// field gives a hash distinct from the zero spec's and from every other
+// field's, so two plans that differ in any input get different IDs.
+func TestSpecHashCoversEveryField(t *testing.T) {
+	seen := map[string]string{(Spec{}).hash(): "zero spec"}
+	typ := reflect.TypeOf(Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		var s Spec
+		f := reflect.ValueOf(&s).Elem().Field(i)
+		if f.Kind() == reflect.Slice {
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+			f = f.Index(0)
+		}
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Uint64:
+			f.SetUint(7)
+		case reflect.String:
+			f.SetString("x")
+		default:
+			t.Fatalf("Spec.%s: no non-zero value for kind %s", typ.Field(i).Name, f.Kind())
+		}
+		h := s.hash()
+		if prev, ok := seen[h]; ok {
+			t.Errorf("Spec.%s shares a hash with %s", typ.Field(i).Name, prev)
+		}
+		seen[h] = typ.Field(i).Name
+	}
+	// Names are case-insensitive, so case must not split plan IDs.
+	lower := Spec{Figures: []string{"figure1"}, Workloads: []string{"list"}, Threads: 2, Seeds: []uint64{1}}
+	if lower.hash() != tinySpec().hash() {
+		t.Error("workload case must not change the spec hash")
 	}
 }

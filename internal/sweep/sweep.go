@@ -22,7 +22,9 @@
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -97,22 +99,25 @@ func (s Spec) validate() error {
 // the server at render time.
 func (s Spec) options() harness.Options {
 	return harness.Options{
-		Seeds:           s.Seeds,
-		Only:            s.Workloads,
-		WordGranularity: s.Word,
-		DropOldest:      s.DropOldest,
-		NoBackoff:       s.NoBackoff,
-		Scale:           s.Scale,
+		Seeds: s.Seeds,
+		Only:  s.Workloads,
+		CellConfig: exp.CellConfig{
+			WordGranularity: s.Word,
+			DropOldest:      s.DropOldest,
+			NoBackoff:       s.NoBackoff,
+			Scale:           s.Scale,
+		},
 	}
 }
 
-// hash digests the normalized spec for use in plan IDs.
+// hash digests the normalized spec for use in plan IDs: its JSON, lower
+// cased because every string in a spec is a case-insensitive name.
 func (s Spec) hash() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "figures=%s\nthreads=%d\nseeds=%v\nworkloads=%s\nword=%t\ndrop=%t\nnobackoff=%t\nscale=%d\n",
-		strings.ToLower(strings.Join(s.Figures, ",")), s.Threads, s.Seeds,
-		strings.ToLower(strings.Join(s.Workloads, ",")), s.Word, s.DropOldest, s.NoBackoff, s.Scale)
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	b, err := json.Marshal(s)
+	if err != nil {
+		panic(fmt.Sprintf("sweep: encoding spec: %v", err))
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(bytes.ToLower(b)))
 }
 
 // Status is the externally visible state of one submitted plan.

@@ -8,6 +8,9 @@
 #   - the batched run actually batched (sched_stats.batched_events > 0),
 #   - the per-event run batched nothing,
 #   - the batched run's coroutine-switch count is strictly lower.
+# Both runs of a sweep share one result cache, the batched run first, so
+# the per-event check also fails if the cache key lets per-event cells
+# reuse the batched run's results.
 # The Figure 7 List sweep reads mostly L1 hits; the Figure 7 Array
 # sweep's long reads scan past L1, so its batched events are mostly
 # private L2 hits. The Figure 8 Genome sweep runs every thread count and
@@ -30,7 +33,7 @@ counter() { # counter <file> <name>
 smoke() { # smoke <name> <sitm-bench flags...>
   local name="$1"
   shift
-  local common=("$@" -seeds 1 -workers 2)
+  local common=("$@" -seeds 1 -workers 2 -cache-dir "$workdir/cache-$name")
   # Drop the "wrote <path>" status line: it names the -json file, which
   # legitimately differs between the two runs.
   "$workdir/sitm-bench" "${common[@]}" -json "$workdir/batched.json" | grep -v '^wrote ' >"$workdir/batched.txt"
