@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/sched"
 )
 
 // cachedOpts is the quick options shape with a fresh result cache.
@@ -26,9 +27,10 @@ func cachedOpts(t *testing.T) Options {
 	return o
 }
 
-// update regenerates the golden section digests in testdata/ instead of
-// checking them: go test ./internal/harness -run WarmVsCold -update.
-var update = flag.Bool("update", false, "rewrite "+digestsPath+" from the current renders")
+// update regenerates the golden section digests and cost counts in
+// testdata/ instead of checking them:
+// go test ./internal/harness -run WarmVsCold -update.
+var update = flag.Bool("update", false, "rewrite "+digestsPath+" and "+costsPath+" from the current renders")
 
 // digestsPath holds the SHA-256 of every section's canonical bytes under
 // TestFiguresAreByteIdenticalWarmVsCold's options. A change that moves a
@@ -36,35 +38,81 @@ var update = flag.Bool("update", false, "rewrite "+digestsPath+" from the curren
 // the diff of this file is the record of every deliberate figure change.
 const digestsPath = "testdata/digests.json"
 
+// costsPath holds every section's conductor counters (sched_stats)
+// summed over its cells under the same options. They are deterministic
+// like the figure bytes but no figure renders them, so a change that
+// moves the simulator's host cost — a coroutine switch batched away or
+// added — fails here until the counts are regenerated with -update, and
+// the diff of this file records which sections moved.
+const costsPath = "testdata/costs.json"
+
+// readGolden decodes the golden file at path into v.
+func readGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}
+
+// writeGolden rewrites the golden file at path with v.
+func writeGolden(t *testing.T, path string, v any) {
+	t.Helper()
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFiguresAreByteIdenticalWarmVsCold is the house differential test
 // applied to the cache: every figure rendered from cached cell results
 // must be byte-for-byte the figure rendered from live simulation. The
-// cold bytes are also checked against the golden digests.
+// cold bytes are also checked against the golden digests, and each
+// section's summed conductor counters against the golden cost counts.
+// Cells a section shares with an earlier one are served from the cache
+// with the counters they were computed with, so every section sums the
+// same counts in any order.
 func TestFiguresAreByteIdenticalWarmVsCold(t *testing.T) {
 	o := cachedOpts(t)
 	// One serving-tier workload, so figure-oltp renders a table, not
 	// just its header; the paper figures ignore it.
 	o.Only = append(o.Only, "kv@0.50")
 	want := make(map[string]string)
+	wantCosts := make(map[string]sched.Stats)
 	if !*update {
-		data, err := os.ReadFile(digestsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatalf("%s: %v", digestsPath, err)
-		}
+		readGolden(t, digestsPath, &want)
+		readGolden(t, costsPath, &wantCosts)
 	}
 	got := make(map[string]string)
+	gotCosts := make(map[string]sched.Stats)
 	for _, figure := range FigureNames {
-		cold, err := RenderFigureText(figure, 4, o)
+		var mu sync.Mutex
+		var costs sched.Stats
+		co := o
+		co.CellDone = func(_ exp.Cell, res exp.CellResult) {
+			mu.Lock()
+			costs.Add(res.Sched)
+			mu.Unlock()
+		}
+		cold, err := RenderFigureText(figure, 4, co)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got[figure] = fmt.Sprintf("%x", sha256.Sum256(cold))
+		gotCosts[figure] = costs
 		if !*update && got[figure] != want[figure] {
 			t.Errorf("%s: digest %s, golden %s (rerun with -update if the change is deliberate):\n%s",
 				figure, got[figure], want[figure], cold)
+		}
+		if !*update && costs != wantCosts[figure] {
+			t.Errorf("%s: sched_stats %+v, golden %+v (rerun with -update if the change is deliberate)",
+				figure, costs, wantCosts[figure])
 		}
 		warm, err := RenderFigureText(figure, 4, o)
 		if err != nil {
@@ -85,13 +133,8 @@ func TestFiguresAreByteIdenticalWarmVsCold(t *testing.T) {
 		}
 	}
 	if *update {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(digestsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		writeGolden(t, digestsPath, got)
+		writeGolden(t, costsPath, gotCosts)
 	}
 }
 
