@@ -153,7 +153,10 @@ func New(cfg Config) *Engine {
 	// Tick(CommitOverhead) plus at least one charged line access, so it
 	// lands at least CommitOverhead + L1Latency cycles past the parked
 	// key. Commit zeroes the slack before entering the critical section.
-	e.Init(name, cfg.Cache, cfg.ReferenceStore, cfg.CommitOverhead+cfg.Cache.L1Latency,
+	// Each promised read (tm.Txn.PromiseReads) adds L1Latency, the
+	// smallest read charge; no peer dooms an SI-TM reader, so nothing
+	// revokes a promise.
+	e.Init(name, cfg.Cache, cfg.ReferenceStore, cfg.CommitOverhead+cfg.Cache.L1Latency, cfg.Cache.L1Latency,
 		!cfg.Serializable && !cfg.ReferenceSets && !cfg.Cache.Reference)
 	e.liveReader = e.readerLive
 	if cfg.ReferenceSets {
@@ -361,6 +364,7 @@ func (x *txn) Read(a mem.Addr) uint64 {
 }
 
 func (x *txn) read(a mem.Addr) uint64 {
+	x.SpendRead()
 	line := mem.LineOf(a)
 	if lat, ok := x.privateHit(line); ok {
 		// Certified non-interacting: a private L1/L2 hit touches only
@@ -404,6 +408,7 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 {
 // line marked transactionally written (§4.2, TM WRITE); no coherency
 // traffic is emitted under lazy conflict detection.
 func (x *txn) Write(a mem.Addr, v uint64) {
+	x.KeepPromise("Write")
 	line := mem.LineOf(a)
 	if lat, ok := x.privateHit(line); ok {
 		// Same certification as read: a private L1/L2 hit plus the local
@@ -489,6 +494,7 @@ func (x *txn) abortInternal(kind tm.AbortKind, line mem.Line) {
 // Abort implements tm.Txn: the write set is discarded; nothing was
 // published, so rollback is trivial (§4.3).
 func (x *txn) Abort() {
+	x.KeepPromise("Abort")
 	if !x.Finished {
 		x.release()
 		x.Aborted(tm.AbortExplicit)
@@ -521,6 +527,7 @@ func (x *txn) Commit() error {
 	if x.Finished {
 		panic("core: Commit on finished transaction")
 	}
+	x.KeepPromise("Commit")
 	if x.Writes.Len() == 0 && x.promoted.Len() == 0 {
 		// Read-only: no end timestamp, no checks (§4.2). Under
 		// SSI-TM the reader records persist so later writers still see

@@ -144,9 +144,11 @@ func (x *slowTxn) Site(s string) tm.Txn {
 	return x
 }
 
-// Fence implements tm.Txn: the reference path never batches, so its
-// thread is always at a per-event scheduling point.
-func (x *slowTxn) Fence() {}
+// Fence and PromiseReads implement tm.Txn: the reference path never
+// batches, so its thread is always at a per-event scheduling point and
+// publishes no slack to extend.
+func (x *slowTxn) Fence()           {}
+func (x *slowTxn) PromiseReads(int) {}
 
 // Read implements tm.Txn: the most current version older than the start
 // timestamp is returned (§4.2, TM READ), unless the transaction itself

@@ -24,18 +24,22 @@ type Base struct {
 	stats tm.Stats
 	// lastTxn recycles each thread's most recent transaction object, so
 	// its grown access sets are reused without rehash churn.
-	lastTxn   []*Attempt
-	readSlack uint64
-	batchable bool
+	lastTxn    []*Attempt
+	readSlack  uint64
+	readCharge uint64
+	batchable  bool
 }
 
 // Init names the engine and builds its memory system (referenceStore:
 // the dense backing, the paged store's oracle). readSlack is the slack a
-// thread publishes outside a writer's critical section; batchable says
-// whether the configuration admits batching.
-func (e *Base) Init(name string, c cache.Config, referenceStore bool, readSlack uint64, batchable bool) {
+// thread publishes outside a writer's critical section, readCharge the
+// smallest charge of one read (each promised read adds it to the slack;
+// see Attempt.PromiseReads); batchable says whether the configuration
+// admits batching.
+func (e *Base) Init(name string, c cache.Config, referenceStore bool, readSlack, readCharge uint64, batchable bool) {
 	e.Caches = cache.NewSystem(c, referenceStore)
-	e.name, e.readSlack, e.batchable, e.Batch = name, readSlack, batchable, batchable
+	e.name, e.readSlack, e.readCharge = name, readSlack, readCharge
+	e.batchable, e.Batch = batchable, batchable
 }
 
 // Name implements tm.Engine.
@@ -120,6 +124,72 @@ type Attempt struct {
 	Writes   aset.WriteLog // speculative stores, in first-write order
 	Finished bool
 	self     tm.Txn
+	// promised counts the reads still owed under PromiseReads.
+	promised int
+}
+
+// PromiseReads implements tm.Txn. The promise is honoured only while the
+// engine batches and the write log is empty: the thread's next write or
+// commit then lies behind n more read charges of at least readCharge
+// each, so until those reads are spent it publishes readSlack +
+// remaining × readCharge, and a peer's horizon reaches past its next
+// read. Elsewhere it is a no-op.
+func (x *Attempt) PromiseReads(n int) {
+	if n > 0 && x.base.Batch && x.Writes.Len() == 0 {
+		x.promised = n
+		x.publish()
+	}
+}
+
+// SpendRead consumes one promised read, if any is outstanding, and
+// republishes the slack of the reads left. Every engine read calls it
+// before its charge, so a park inside that charge publishes only the
+// reads that follow it.
+func (x *Attempt) SpendRead() {
+	if x.promised != 0 {
+		x.promised--
+		x.publish()
+	}
+}
+
+// publish sets the slack of the outstanding promised reads.
+func (x *Attempt) publish() {
+	x.Thread.SetSlack(x.base.readSlack + uint64(x.promised)*x.base.readCharge)
+}
+
+// KeepPromise panics if promised reads are outstanding: op — Write,
+// Commit or an explicit Abort — breaks the promise, and a peer may
+// already have batched past the effect it leads to. A conflict abort
+// does not break it: the engine dooms the attempt (see Revoke) or
+// aborts it inside a read, and finish clears the count.
+func (x *Attempt) KeepPromise(op string) {
+	if x.promised != 0 {
+		x.breakPromise(op)
+	}
+}
+
+func (x *Attempt) breakPromise(op string) {
+	panic(fmt.Sprintf("%s: transaction %d on thread %d: %s with %d promised reads outstanding",
+		x.base.name, x.id, x.Thread.ID(), op, x.promised))
+}
+
+// Revoke drops the outstanding promise of an attempt a peer has just
+// doomed, and lowers its parked thread's slack back to readSlack
+// (sched.Thread.RevokeSlack): the doomed attempt unwinds at its next
+// access instead of reading on, and its retry may write at once.
+func (x *Attempt) Revoke() {
+	if x.promised != 0 {
+		x.revoke()
+	}
+}
+
+// revoke stays out of line so that Revoke, and eager.Txn.Doom through
+// it, inline under any profile.
+//
+//go:noinline
+func (x *Attempt) revoke() {
+	x.promised = 0
+	x.Thread.RevokeSlack(x.base.readSlack)
 }
 
 // Site implements tm.Txn.
@@ -162,10 +232,10 @@ func (x *Attempt) Committed(readOnly bool) {
 	}
 }
 
-// finish resets the write log (keeping its capacity) and re-publishes
-// the out-of-critical-section slack.
+// finish resets the write log (keeping its capacity), drops any promised
+// reads and re-publishes the out-of-critical-section slack.
 func (x *Attempt) finish() {
-	x.Finished = true
+	x.Finished, x.promised = true, 0
 	x.Thread.SetSlack(x.base.readSlack)
 	x.Writes.Reset()
 }

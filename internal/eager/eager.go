@@ -30,9 +30,9 @@ type Engine struct {
 
 // Init is Base.Init plus the reference backing of the word store and
 // reader bitmaps. readSlack is the slack a thread publishes while its
-// transaction has written nothing.
-func (e *Engine) Init(name string, c cache.Config, referenceStore bool, readSlack uint64, batchable bool) {
-	e.Base.Init(name, c, referenceStore, readSlack, batchable)
+// transaction has written nothing, readCharge the smallest read charge.
+func (e *Engine) Init(name string, c cache.Config, referenceStore bool, readSlack, readCharge uint64, batchable bool) {
+	e.Base.Init(name, c, referenceStore, readSlack, readCharge, batchable)
 	if referenceStore {
 		e.Words.SetReference()
 		e.Readers.SetReference()
@@ -109,11 +109,12 @@ type Txn struct {
 	DoomLine mem.Line
 }
 
-// Doom marks the transaction aborted by a conflict on line; the first
-// doom is the one reported.
+// Doom marks the transaction aborted by a peer's conflict on line and
+// revokes its promised reads; the first doom is the one reported.
 func (x *Txn) Doom(kind tm.AbortKind, line mem.Line) {
 	if !x.Doomed {
 		x.Doomed, x.DoomKind, x.DoomLine = true, kind, line
+		x.Revoke()
 	}
 }
 

@@ -65,18 +65,21 @@ func TestFiguresByteIdenticalFastVsSlow(t *testing.T) {
 
 // TestFiguresByteIdenticalBatchedVsPerEvent is the acceptance gate for
 // horizon batching at the report level: the Figure 7 and Figure 8 tables
-// on List and Genome must be byte-identical whether the conductor runs
-// multi-event quanta (the default) or schedules strictly per event
-// (Options.PerEvent, the -per-event flag). It also asserts batching
-// actually engaged — the 2PL, SONTM and SI-TM cells must each report
-// batched events, and the sweep strictly fewer coroutine switches than
-// the per-event baseline — or the gate would pass vacuously. Genome
-// allocates inside transactions at every thread count, so a transaction
-// whose Fence does not end the batched quantum before txlib's bump
-// allocator permutes node addresses and moves its speedups.
+// on List and Genome, and Figure 8 on Array, must be byte-identical
+// whether the conductor runs multi-event quanta (the default) or
+// schedules strictly per event (Options.PerEvent, the -per-event flag).
+// It also asserts batching actually engaged — the 2PL, SONTM and SI-TM
+// cells of each render must each report batched events, and each render
+// strictly fewer coroutine switches than the per-event baseline — or the
+// gate would pass vacuously. Genome allocates inside transactions at
+// every thread count, so a transaction whose Fence does not end the
+// batched quantum before txlib's bump allocator permutes node addresses
+// and moves its speedups. Array's whole-array sums promise their reads
+// (tm.Txn.PromiseReads) at every thread count, so a promise that
+// publishes slack a scan does not honour moves its figures.
 func TestFiguresByteIdenticalBatchedVsPerEvent(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two full figure sweeps")
+		t.Skip("runs three full figure sweeps")
 	}
 	collect := func(into map[string]sched.Stats) func(exp.Cell, exp.CellResult) {
 		var mu sync.Mutex
@@ -88,30 +91,42 @@ func TestFiguresByteIdenticalBatchedVsPerEvent(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	batched, perEvent := map[string]sched.Stats{}, map[string]sched.Stats{}
-	o := Options{Seeds: []uint64{1}, Only: []string{"List", "Genome"}, CellDone: collect(batched)}
-	fast := figureBytes(t, o)
-	o.PerEvent = true
-	o.CellDone = collect(perEvent)
-	ref := figureBytes(t, o)
-	if !bytes.Equal(fast, ref) {
-		t.Fatalf("figure output diverges between batched and per-event conductors:\n--- batched ---\n%s\n--- per-event ---\n%s", fast, ref)
-	}
-	var bsw, psw uint64
-	for engine, st := range batched {
-		bsw += st.CoroutineSwitches
-		psw += perEvent[engine].CoroutineSwitches
-		if perEvent[engine].BatchedEvents != 0 {
-			t.Errorf("%s per-event cells batched %d events", engine, perEvent[engine].BatchedEvents)
+	for _, c := range []struct {
+		only   []string
+		render func(t *testing.T, o Options) []byte
+	}{
+		{[]string{"List", "Genome"}, figureBytes},
+		{[]string{"Array"}, func(t *testing.T, o Options) []byte {
+			var buf bytes.Buffer
+			Figure8(&buf, o)
+			return buf.Bytes()
+		}},
+	} {
+		batched, perEvent := map[string]sched.Stats{}, map[string]sched.Stats{}
+		o := Options{Seeds: []uint64{1}, Only: c.only, CellDone: collect(batched)}
+		fast := c.render(t, o)
+		o.PerEvent = true
+		o.CellDone = collect(perEvent)
+		ref := c.render(t, o)
+		if !bytes.Equal(fast, ref) {
+			t.Fatalf("%v: figure output diverges between batched and per-event conductors:\n--- batched ---\n%s\n--- per-event ---\n%s", c.only, fast, ref)
 		}
-	}
-	for _, engine := range []string{TwoPL, SONTM, SITM} {
-		if batched[engine].BatchedEvents == 0 {
-			t.Errorf("%s cells ran no batched events: %+v", engine, batched[engine])
+		var bsw, psw uint64
+		for engine, st := range batched {
+			bsw += st.CoroutineSwitches
+			psw += perEvent[engine].CoroutineSwitches
+			if perEvent[engine].BatchedEvents != 0 {
+				t.Errorf("%v: %s per-event cells batched %d events", c.only, engine, perEvent[engine].BatchedEvents)
+			}
 		}
-	}
-	if bsw >= psw {
-		t.Fatalf("batched sweep switched %d times, per-event %d: batching should reduce switches", bsw, psw)
+		for _, engine := range []string{TwoPL, SONTM, SITM} {
+			if batched[engine].BatchedEvents == 0 {
+				t.Errorf("%v: %s cells ran no batched events: %+v", c.only, engine, batched[engine])
+			}
+		}
+		if bsw >= psw {
+			t.Errorf("%v: batched sweep switched %d times, per-event %d: batching should reduce switches", c.only, bsw, psw)
+		}
 	}
 }
 

@@ -107,8 +107,10 @@ func (w *KV) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 			// aborts no writer; under the eager baselines it conflicts
 			// with every concurrent increment.
 			_ = tm.Atomic(m.E, th, bo, func(tx tm.Txn) error {
+				n := min(w.ScanLines, w.Keys)
+				tx.PromiseReads(n)
 				var sum uint64
-				for l := 0; l < w.ScanLines && l < w.Keys; l++ {
+				for l := 0; l < n; l++ {
 					sum += tx.Read(w.addr(uint64(l)))
 				}
 				return nil
@@ -125,6 +127,7 @@ func (w *KV) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 			writes[j] = w.z.Next(r)
 		}
 		err := tm.Atomic(m.E, th, bo, func(tx tm.Txn) error {
+			tx.PromiseReads(len(reads))
 			for _, k := range reads {
 				tx.Read(w.addr(k))
 			}
@@ -211,8 +214,10 @@ func (w *Ledger) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 		if w.ScanEvery > 0 && i%w.ScanEvery == w.ScanEvery-1 {
 			// Read-only audit over the hot accounts.
 			_ = tm.Atomic(m.E, th, bo, func(tx tm.Txn) error {
+				n := min(w.ScanLines, w.Accounts)
+				tx.PromiseReads(n)
 				var sum uint64
-				for l := 0; l < w.ScanLines && l < w.Accounts; l++ {
+				for l := 0; l < n; l++ {
 					sum += tx.Read(w.addr(uint64(l)))
 				}
 				return nil

@@ -58,6 +58,8 @@ type Thread struct {
 	// invalidation, a presence drain). The horizon conductor uses parked
 	// threads' slacks to extend another thread's quantum past their cycle
 	// counters; see TickHinted. Zero — the default — promises nothing.
+	// Only the thread itself sets it (SetSlack), except that a peer may
+	// lower it while it is parked (RevokeSlack).
 	slack uint64
 
 	// yield and resume are the two ends of the thread's iter.Pull
@@ -219,12 +221,37 @@ func (t *Thread) Fence() {
 // that from any parked position it will charge strictly more than s
 // cycles before its next non-commuting shared-state effect. Engines set
 // it at phase boundaries (e.g. SI-TM holds CommitOverhead outside the
-// writer-commit critical section and zero inside it) and must only ever
-// set their own thread's slack. A stale promise is caught by Interact.
+// writer-commit critical section and zero inside it) and while a
+// transaction's promised reads are outstanding (tm.Txn.PromiseReads).
+// They set only their own thread's slack, with one exception:
+// RevokeSlack, when a peer's effect breaks a parked thread's promise. A
+// stale promise is caught by Interact.
 func (t *Thread) SetSlack(s uint64) {
 	t.slack = s
 	if s > t.sim.maxSlack {
 		t.sim.maxSlack = s
+	}
+}
+
+// RevokeSlack lowers parked thread t's published slack to s, for the
+// running thread whose effect just voided t's promise: an engine calls it
+// when it dooms a transaction whose thread published slack for reads it
+// will no longer perform. The running thread runs per event at such an
+// effect, so every key batched so far lies below it; only quanta granted
+// from now on need the lower slack, so t's leaf is re-keyed and the
+// running thread's cached horizon dropped. A slack already at or below s
+// is left as it is.
+func (t *Thread) RevokeSlack(s uint64) {
+	if s >= t.slack {
+		return
+	}
+	t.slack = s
+	if sim := t.sim; sim.fast {
+		if t.id == sim.cur {
+			panic(fmt.Sprintf("sched: thread %d revokes its own slack; it sets it with SetSlack", t.id))
+		}
+		sim.replay(t)
+		sim.horizonOK = false
 	}
 }
 
@@ -374,9 +401,9 @@ func (s *Sim) SetPerEvent(on bool) { s.perEvent = on }
 // horizon returns the running thread's horizon — the minimum reach over
 // every other leaf, i.e. over the sibling nodes on its leaf-to-root path
 // — computing it at most once per quantum. A parked thread's counter is
-// frozen and its slack can only be rewritten by itself (so not while
-// parked), which makes the cached value exact until the next handoff or
-// WakeAll.
+// frozen and its slack is rewritten only by itself (so not while parked)
+// or lowered by RevokeSlack, which drops the cached value; it is
+// otherwise exact until the next handoff or WakeAll.
 func (s *Sim) horizon() uint64 {
 	if !s.horizonOK {
 		h := uint64(math.MaxUint64)

@@ -25,8 +25,10 @@
 // effects touch only the transaction's own sets and interval and state
 // that only a writer commit changes. A transaction that has written
 // nothing publishes L1Latency cycles of interaction slack — its writer
-// commit lies behind at least one more write charge — and none from its
-// first write until it finishes (DESIGN.md "Horizon batching").
+// commit lies behind at least one more write charge — plus L1Latency for
+// each read it has promised (tm.Txn.PromiseReads), and none from its
+// first write until it finishes. A writer commit whose broadcast dooms a
+// promising reader revokes its promise (DESIGN.md "Horizon batching").
 package sontm
 
 import (
@@ -108,7 +110,7 @@ type Engine struct {
 // position, lies behind at least one write charge of L1Latency or more.
 func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
-	e.Init("SONTM", cfg.Cache, cfg.ReferenceStore, cfg.Cache.L1Latency, !cfg.ReferenceSets && !cfg.Cache.Reference)
+	e.Init("SONTM", cfg.Cache, cfg.ReferenceStore, cfg.Cache.L1Latency, cfg.Cache.L1Latency, !cfg.ReferenceSets && !cfg.Cache.Reference)
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
 	}
@@ -212,6 +214,7 @@ func (x *txn) abortDoomed() error {
 // committed writer whose value it reads.
 func (x *txn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
+	x.SpendRead()
 	line := mem.LineOf(a)
 	// Batchable: the effects below touch this transaction's reader bit,
 	// interval and write log, and the write-number and word tables,
@@ -241,6 +244,7 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 { return x.Read(a) }
 // Write implements tm.Txn: the store is logged; the transaction must
 // serialize after the last committed writer of the line.
 func (x *txn) Write(a mem.Addr, v uint64) {
+	x.KeepPromise("Write")
 	x.checkDoom()
 	line := mem.LineOf(a)
 	// From the first write on, the writer commit may follow the very
@@ -273,6 +277,7 @@ func (x *txn) leave() {
 
 // Abort implements tm.Txn.
 func (x *txn) Abort() {
+	x.KeepPromise("Abort")
 	if !x.Finished {
 		x.leave()
 		x.Aborted(tm.AbortExplicit)
@@ -298,6 +303,7 @@ func (x *txn) Commit() error {
 	if x.Finished {
 		panic("sontm: Commit on finished transaction")
 	}
+	x.KeepPromise("Commit")
 	if x.Doomed {
 		return x.abortDoomed()
 	}
@@ -361,6 +367,11 @@ func (x *txn) Commit() error {
 			}
 			if x.e.Readers.Has(other.Slot, line) {
 				other.clampHi(son-1, line)
+			}
+			// A doomed scanner unwinds at its next access instead of
+			// reading on: its promised reads are void.
+			if other.Doomed {
+				other.Revoke()
 			}
 		}
 	}

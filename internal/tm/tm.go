@@ -102,6 +102,16 @@ type Txn interface {
 	// shared non-transactional state — txlib's bump allocator — happens
 	// in simulated order. It is a no-op where the engine never batches.
 	Fence()
+	// PromiseReads declares that the attempt's next n accesses are
+	// reads: the lookahead of a scan that knows its length. While the
+	// promised reads are outstanding the thread publishes slack for all
+	// of them (sched.Thread.SetSlack), so peers batch past its next read
+	// instead of switching to it on every one. Write, Commit or an
+	// explicit Abort before the last promised read breaks the promise
+	// and panics; a conflict abort drops it. Engines honour it only
+	// while horizon batching is on and nothing has been written; it is
+	// a no-op everywhere else and never changes a simulated outcome.
+	PromiseReads(n int)
 }
 
 // Engine is a transactional memory implementation: the paper's SI-TM or

@@ -3,11 +3,12 @@ package twopl
 import (
 	"fmt"
 	"reflect"
-	"repro/internal/tm"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/sched"
+	"repro/internal/tm"
 )
 
 // slackProbe is a tracer that records the thread's published interaction
@@ -31,11 +32,22 @@ func (p *slackProbe) TxnAbort(uint64)                   { p.note("abort") }
 // batched reads rest on: L1Latency + BroadcastCost from Begin while the
 // write set is empty, zero from the first write's charge through commit
 // entry, and the read-phase value again once the transaction finishes,
-// by commit or by abort. The traced run reads it inside the operations.
+// by commit or by abort. While promised reads are outstanding it is that
+// value plus one read's charge, the same L1Latency + BroadcastCost, per
+// remaining read; a tracer turns batching, and with it promises, off.
+// The traced run reads it inside the operations. A peer's doom revokes
+// the promise of a parked scanner (see promiseRevoked).
 func TestSlackFollowsWriteSet(t *testing.T) {
 	cfg := DefaultConfig()
 	read := cfg.Cache.L1Latency + cfg.BroadcastCost
+	promiseRevoked(t, New(cfg), read, read)
 	for _, traced := range []bool{false, true} {
+		promised := func(n uint64) uint64 {
+			if traced {
+				return read
+			}
+			return read + n*read
+		}
 		e := New(cfg)
 		p := &slackProbe{}
 		if traced {
@@ -71,6 +83,24 @@ func TestSlackFollowsWriteSet(t *testing.T) {
 				t.Fatalf("read-only commit: %v", err)
 			}
 			at("after a read-only commit", read)
+			tx = e.Begin(th)
+			tx.PromiseReads(3)
+			at("after promising three reads", promised(3))
+			tx.Read(addr(5))
+			at("after the first promised read", promised(2))
+			tx.Read(addr(6))
+			tx.Read(addr(7))
+			at("after the last promised read", promised(0))
+			tx.Write(addr(8), 1)
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("commit after promised reads: %v", err)
+			}
+			at("after a commit that kept its promise", read)
+			tx = e.Begin(th)
+			tx.PromiseReads(1)
+			tx.Read(addr(5))
+			tx.Abort()
+			at("after an abort that kept its promise", read)
 		})
 		if !traced {
 			continue
@@ -80,6 +110,8 @@ func TestSlackFollowsWriteSet(t *testing.T) {
 			"begin=" + r, "read=" + r, "write=" + z, "read=" + z, "commit=" + r,
 			"begin=" + r, "write=" + z, "abort=" + r,
 			"begin=" + r, "read=" + r, "commit=" + r,
+			"begin=" + r, "read=" + r, "read=" + r, "read=" + r, "write=" + z, "commit=" + r,
+			"begin=" + r, "read=" + r, "abort=" + r,
 		}
 		if !reflect.DeepEqual(p.got, want) {
 			t.Errorf("slack inside operations:\n got %v\nwant %v", p.got, want)
@@ -145,4 +177,134 @@ func TestDoomingReadStaysPerEvent(t *testing.T) {
 			t.Errorf("perEvent=%v: writer ended with %v, want a read-write abort on line %#x", perEvent, err, uint64(mem.LineOf(lineM)))
 		}
 	}
+}
+
+// TestDoomRevokesPromisedReads pins the revocation of read promises.
+// Each thread first caches its lines, then all three meet at cycle t0.
+// Thread 0 promises a 64-line scan whose first 16 lines hit its L1; it
+// parks inside the 17th read's miss, and thread 1's get-exclusive on
+// line 1 dooms it there. Its retry writes line 2 at once instead of
+// scanning. Thread 2, parked below the scanner, re-reads line 2 from its
+// L1 and batches up to the horizon the scanner's slack allows. The doom
+// must lower that slack to one read's, or thread 2 batches past the
+// retry's get-exclusive on line 2, which Interact reports as a stale
+// promise. Batched must equal per-event.
+func TestDoomRevokesPromisedReads(t *testing.T) {
+	const scan, t0 = 64, 1 << 20
+	run := func(perEvent bool) (out string) {
+		e := New(DefaultConfig())
+		s := sched.New(3, 1)
+		s.SetPerEvent(perEvent)
+		cycles := make([]uint64, 3)
+		errs := make([]error, 3)
+		retried := false
+		defer func() {
+			if r := recover(); r != nil {
+				out = fmt.Sprint("panic: ", r)
+			}
+		}()
+		read := func(th *sched.Thread, lines ...int) {
+			_ = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+				for _, l := range lines {
+					tx.Read(addr(l))
+				}
+				return nil
+			})
+		}
+		s.Run(func(th *sched.Thread) {
+			id := th.ID()
+			switch id {
+			case 0: // the scanner
+				for i := 1; i <= 16; i++ {
+					read(th, i)
+				}
+				th.Tick(t0 - th.Cycles())
+				attempts := 0
+				errs[id] = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+					if attempts++; attempts > 1 {
+						retried = true
+						tx.Write(addr(2), 1)
+						return nil
+					}
+					tx.PromiseReads(scan)
+					for i := 1; i <= scan; i++ {
+						tx.Read(addr(i))
+					}
+					return nil
+				})
+			case 1: // the doomer
+				read(th, 1)
+				th.Tick(t0 + 100 - th.Cycles())
+				errs[id] = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+					tx.Write(addr(1), 1)
+					return nil
+				})
+			case 2: // the batching reader
+				read(th, 2)
+				th.Tick(t0 - th.Cycles())
+				errs[id] = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
+					for i := 0; i < 2000; i++ {
+						tx.Read(addr(2))
+					}
+					return nil
+				})
+			}
+			cycles[id] = th.Cycles()
+		})
+		st := e.Stats()
+		return fmt.Sprint(cycles, errs, st.Commits, st.Aborts, retried, s.Stats().BatchedEvents > 0)
+	}
+	perEvent := run(true)
+	batched := run(false)
+	if !strings.HasSuffix(perEvent, "true false") {
+		t.Fatalf("the scanner was not doomed mid-scan: %s", perEvent)
+	}
+	// The batched run also reports that it batched, which the per-event
+	// run never does; compare the rest.
+	if want := strings.TrimSuffix(perEvent, "false") + "true"; batched != want {
+		t.Errorf("batched run diverges from per-event:\n got %s\nwant %s", batched, want)
+	}
+}
+
+// promiseRevoked checks that a peer's doom revokes a parked scanner's
+// promise. Thread 0 promises four reads, reads line 1 and parks with
+// three outstanding; thread 1, which finds it publishing
+// readSlack + 3 × readCharge, dooms it by writing line 1, after which it
+// publishes readSlack, and again after it unwinds.
+func promiseRevoked(t *testing.T, e tm.Engine, readSlack, readCharge uint64) {
+	t.Helper()
+	s := sched.New(2, 1)
+	s.Run(func(th *sched.Thread) {
+		scanner := s.Thread(0)
+		at := func(when string, want uint64) {
+			t.Helper()
+			if got := scanner.Slack(); got != want {
+				t.Errorf("%s: scanner slack %d, want %d", when, got, want)
+			}
+		}
+		switch th.ID() {
+		case 0:
+			err := tm.RunOnce(e, th, func(tx tm.Txn) error {
+				tx.PromiseReads(4)
+				tx.Read(addr(1))
+				th.Tick(1 << 20)
+				tx.Read(addr(2)) // unwinds: doomed
+				return nil
+			})
+			if _, ok := err.(*tm.AbortError); !ok {
+				t.Errorf("scanner ended with %v, want an abort", err)
+			}
+			at("after the scanner unwound", readSlack)
+		case 1:
+			th.Tick(1 << 19)
+			at("parked with three promised reads", readSlack+3*readCharge)
+			if err := tm.RunOnce(e, th, func(tx tm.Txn) error {
+				tx.Write(addr(1), 1)
+				return nil
+			}); err != nil {
+				t.Errorf("doomer: %v", err)
+			}
+			at("after a peer's doom", readSlack)
+		}
+	})
 }

@@ -17,8 +17,10 @@
 // conductor's horizon (sched.Thread.TickHinted): its next get-exclusive
 // or commit lies behind at least one more access charge, so it publishes
 // L1Latency + BroadcastCost cycles of interaction slack until its first
-// write. Reads that would doom a writer, writes and commits stay per
-// event (DESIGN.md "Horizon batching").
+// write, and as much again for each read it has promised
+// (tm.Txn.PromiseReads). A get-exclusive that dooms a promising reader
+// revokes its promise. Reads that would doom a writer, writes and
+// commits stay per event (DESIGN.md "Horizon batching").
 package twopl
 
 import (
@@ -88,7 +90,8 @@ type Engine struct {
 // their engine-wide access counter is order-sensitive.
 func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
-	e.Init("2PL", cfg.Cache, cfg.ReferenceStore, cfg.Cache.L1Latency+cfg.BroadcastCost,
+	access := cfg.Cache.L1Latency + cfg.BroadcastCost
+	e.Init("2PL", cfg.Cache, cfg.ReferenceStore, access, access,
 		!cfg.ReferenceSets && !cfg.Cache.Reference && cfg.InterruptPeriod <= 0)
 	if cfg.ReferenceSets {
 		e.lastTxnSlow = make(map[int]*slowTxn)
@@ -206,6 +209,7 @@ func (x *txn) Read(a mem.Addr) uint64 {
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
+	x.SpendRead()
 	lat, hinted := x.access(line, x.e.Batch && x.Writes.Len() == 0 && x.e.writers.Load(uint64(line)) == nil)
 	if hinted {
 		x.Thread.TickHinted(lat + x.e.cfg.BroadcastCost)
@@ -234,6 +238,7 @@ func (x *txn) ReadPromoted(a mem.Addr) uint64 { return x.Read(a) }
 // Write implements tm.Txn: a get-exclusive broadcast aborts every other
 // reader and writer of the line, then the store is logged.
 func (x *txn) Write(a mem.Addr, v uint64) {
+	x.KeepPromise("Write")
 	x.checkDoom()
 	line := mem.LineOf(a)
 	x.maybeInterrupt(line)
@@ -280,6 +285,7 @@ func (x *txn) dropWrites() {
 // Abort implements tm.Txn: read and write logs are discarded and the
 // transaction restarts in software (§6.1).
 func (x *txn) Abort() {
+	x.KeepPromise("Abort")
 	if !x.Finished {
 		x.dropWrites()
 		x.Aborted(tm.AbortExplicit)
@@ -294,6 +300,7 @@ func (x *txn) Commit() error {
 	if x.Finished {
 		panic("twopl: Commit on finished transaction")
 	}
+	x.KeepPromise("Commit")
 	if x.Doomed {
 		return x.abortDoomed()
 	}

@@ -495,3 +495,4 @@ func (s nonTxShim) Commit() error                  { return nil }
 func (s nonTxShim) Abort()                         {}
 func (s nonTxShim) Site(string) tm.Txn             { return s }
 func (s nonTxShim) Fence()                         {}
+func (s nonTxShim) PromiseReads(int)               {}

@@ -71,9 +71,11 @@ func (v *Vector) Add(tx tm.Txn, i int, delta uint64) uint64 {
 }
 
 // Sum reads every element (the long-running read-only iteration of the
-// Array microbenchmark).
+// Array microbenchmark). It promises its reads up front, so peers batch
+// past the scan instead of switching to it on every read.
 func (v *Vector) Sum(tx tm.Txn) uint64 {
 	tx.Site(SiteVectorRead)
+	tx.PromiseReads(v.n)
 	var s uint64
 	for i := 0; i < v.n; i++ {
 		s += tx.Read(v.Addr(i))
