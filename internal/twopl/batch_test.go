@@ -203,11 +203,9 @@ func TestDoomRevokesPromisedReads(t *testing.T) {
 				out = fmt.Sprint("panic: ", r)
 			}
 		}()
-		read := func(th *sched.Thread, lines ...int) {
+		read := func(th *sched.Thread, line int) {
 			_ = tm.Atomic(e, th, tm.DefaultBackoff(), func(tx tm.Txn) error {
-				for _, l := range lines {
-					tx.Read(addr(l))
-				}
+				tx.Read(addr(line))
 				return nil
 			})
 		}
