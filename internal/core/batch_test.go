@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/tm"
 )
@@ -81,74 +80,3 @@ func TestBatchedPrivateHitScanMatchesPerEvent(t *testing.T) {
 		}
 	}
 }
-
-// TestSlackFollowsWriteSet is the SI-TM twin of the baselines' slack
-// tests. SI-TM publishes CommitOverhead + L1Latency from Begin through
-// its writes, zero inside the writer commit, and the read-phase value
-// again once the transaction finishes, by commit or by abort. While
-// promised reads are outstanding it is that value plus L1Latency, the
-// smallest read charge, per remaining read. A tracer turns batching, and
-// with it promises, off; so does SSI-TM, whose reads touch shared reader
-// tables. No peer dooms an SI-TM reader, so nothing revokes a promise.
-func TestSlackFollowsWriteSet(t *testing.T) {
-	for _, c := range []struct {
-		name            string
-		serial, traced  bool
-		honoursPromises bool
-	}{
-		{"SI-TM", false, false, true},
-		{"SI-TM traced", false, true, false},
-		{"SSI-TM", true, false, false},
-	} {
-		cfg := DefaultConfig()
-		cfg.Serializable = c.serial
-		read, charge := cfg.CommitOverhead+cfg.Cache.L1Latency, cfg.Cache.L1Latency
-		promised := func(n uint64) uint64 {
-			if !c.honoursPromises {
-				return read
-			}
-			return read + n*charge
-		}
-		e := New(cfg)
-		if c.traced {
-			e.SetTracer(nopTracer{})
-		}
-		single(t, e, func(th *sched.Thread) {
-			at := func(when string, want uint64) {
-				t.Helper()
-				if got := th.Slack(); got != want {
-					t.Errorf("%s, %s: slack %d, want %d", c.name, when, got, want)
-				}
-			}
-			tx := e.Begin(th)
-			at("at Begin", read)
-			tx.PromiseReads(3)
-			at("after promising three reads", promised(3))
-			tx.Read(addr(1))
-			at("after the first promised read", promised(2))
-			tx.Read(addr(2))
-			tx.Read(addr(3))
-			at("after the last promised read", promised(0))
-			tx.Write(addr(4), 1)
-			at("after a write", read)
-			if err := tx.Commit(); err != nil {
-				t.Fatalf("%s: commit: %v", c.name, err)
-			}
-			at("after a commit that kept its promise", read)
-			tx = e.Begin(th)
-			tx.PromiseReads(1)
-			tx.Read(addr(5))
-			tx.Abort()
-			at("after an abort that kept its promise", read)
-		})
-	}
-}
-
-// nopTracer observes nothing; installing it turns batching off.
-type nopTracer struct{}
-
-func (nopTracer) TxnBegin(uint64, int)              {}
-func (nopTracer) TxnRead(uint64, mem.Addr, string)  {}
-func (nopTracer) TxnWrite(uint64, mem.Addr, string) {}
-func (nopTracer) TxnCommit(uint64)                  {}
-func (nopTracer) TxnAbort(uint64)                   {}

@@ -108,17 +108,12 @@ type Result[T any] struct {
 	Cached bool
 }
 
-// Run executes every cell of plan through exec and returns the results in
-// plan order. exec receives the cell's plan index alongside the cell so
-// callers can correlate with side tables; it must be safe to call from
-// multiple goroutines and must not share mutable state between cells.
-func Run[T any](r Runner, plan Plan, exec func(i int, c Cell) T) []Result[T] {
-	return RunWarm(r, plan,
-		func() struct{} { return struct{}{} },
-		func(i int, c Cell, _ struct{}) T { return exec(i, c) })
-}
-
-// RunWarm is Run with per-worker warm state: every worker builds one W
+// runWarm is the worker pool under CellRunner. It executes every cell of
+// plan through exec and returns the results in plan order; exec receives
+// the cell's plan index alongside the cell, must be safe to call from
+// multiple goroutines and must not share mutable state between cells. It
+// reports whether the cell was served from a cache, which is threaded
+// into the result and the progress callback. Every worker builds one W
 // via warm and hands it to exec for each cell it executes, so state whose
 // construction is expensive (resolved configurations, scratch memory for
 // simulated cache arrays) is paid once per worker rather than once per
@@ -126,15 +121,6 @@ func Run[T any](r Runner, plan Plan, exec func(i int, c Cell) T) []Result[T] {
 // mutate it freely without synchronisation — and must not influence
 // measured results: which worker runs a cell, and therefore which W it
 // sees, is nondeterministic.
-func RunWarm[T, W any](r Runner, plan Plan, warm func() W, exec func(i int, c Cell, w W) T) []Result[T] {
-	return runWarm(r, plan, warm, func(i int, c Cell, w W) (T, bool) {
-		return exec(i, c, w), false
-	})
-}
-
-// runWarm is the shared worker-pool core: exec additionally reports
-// whether the cell was served from a cache, which is threaded into the
-// result and the progress callback.
 func runWarm[T, W any](r Runner, plan Plan, warm func() W, exec func(i int, c Cell, w W) (T, bool)) []Result[T] {
 	results := make([]Result[T], len(plan))
 	if len(plan) == 0 {

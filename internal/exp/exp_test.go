@@ -40,7 +40,7 @@ func TestResultsInPlanOrderRegardlessOfWorkers(t *testing.T) {
 		return fmt.Sprintf("%d:%s", i, c)
 	}
 	for _, workers := range []int{1, 3, 16} {
-		rs := Run(Runner{Workers: workers}, plan, exec)
+		rs := pool(Runner{Workers: workers}, plan, exec)
 		if len(rs) != len(plan) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(rs), len(plan))
 		}
@@ -61,20 +61,31 @@ func TestResultsInPlanOrderRegardlessOfWorkers(t *testing.T) {
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	plan := Cross([]string{"a", "b", "c"}, []string{"x", "y"}, []int{1, 2, 4}, seeds(3))
 	exec := func(_ int, c Cell) uint64 { return c.Seed*1000 + uint64(c.Threads) }
-	base := Values(Run(Runner{Workers: 1}, plan, exec))
+	base := Values(pool(Runner{Workers: 1}, plan, exec))
 	for _, workers := range []int{2, 5, 64} {
-		got := Values(Run(Runner{Workers: workers}, plan, exec))
+		got := Values(pool(Runner{Workers: workers}, plan, exec))
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("workers=%d diverged from workers=1", workers)
 		}
 	}
 }
 
+// The pool runs at most Workers cells at once, and builds one warm state
+// per worker that only that worker uses (the race detector would flag a
+// shared one).
 func TestWorkerPoolIsBounded(t *testing.T) {
 	const bound = 3
 	var cur, peak atomic.Int64
 	plan := Cross([]string{"w"}, []string{"e"}, []int{1}, seeds(24))
-	Run(Runner{Workers: bound}, plan, func(int, Cell) int {
+	var mu sync.Mutex
+	var states []*int
+	runWarm(Runner{Workers: bound}, plan, func() *int {
+		mu.Lock()
+		defer mu.Unlock()
+		states = append(states, new(int))
+		return states[len(states)-1]
+	}, func(_ int, _ Cell, cells *int) (int, bool) {
+		*cells++
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -84,10 +95,20 @@ func TestWorkerPoolIsBounded(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		cur.Add(-1)
-		return 0
+		return 0, false
 	})
 	if p := peak.Load(); p > bound {
 		t.Fatalf("peak concurrency %d exceeds worker bound %d", p, bound)
+	}
+	if len(states) > bound {
+		t.Fatalf("%d warm states built, want at most one per worker (%d)", len(states), bound)
+	}
+	total := 0
+	for _, cells := range states {
+		total += *cells
+	}
+	if total != len(plan) {
+		t.Fatalf("warm states saw %d cells, want %d", total, len(plan))
 	}
 }
 
@@ -96,7 +117,7 @@ func TestProgressIsSerialisedAndComplete(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
 	total := -1
-	rs := Run(Runner{Workers: 4, Progress: func(p Progress) {
+	rs := pool(Runner{Workers: 4, Progress: func(p Progress) {
 		// The runner serialises callbacks; the mutex here only guards
 		// against the test's own assertions racing a buggy runner.
 		mu.Lock()
@@ -121,10 +142,10 @@ func TestProgressIsSerialisedAndComplete(t *testing.T) {
 }
 
 func TestZeroWorkersDefaultsAndEmptyPlan(t *testing.T) {
-	if rs := Run(Runner{}, nil, func(int, Cell) int { return 1 }); len(rs) != 0 {
+	if rs := pool(Runner{}, nil, func(int, Cell) int { return 1 }); len(rs) != 0 {
 		t.Fatalf("empty plan produced %d results", len(rs))
 	}
-	rs := Run(Runner{Workers: 0}, Plan{{Workload: "w", Engine: "e", Threads: 1, Seed: 1}},
+	rs := pool(Runner{Workers: 0}, Plan{{Workload: "w", Engine: "e", Threads: 1, Seed: 1}},
 		func(int, Cell) int { return 42 })
 	if len(rs) != 1 || rs[0].Value != 42 {
 		t.Fatalf("default-worker run wrong: %+v", rs)
@@ -150,4 +171,10 @@ func seeds(n int) []uint64 {
 		s[i] = uint64(i + 1)
 	}
 	return s
+}
+
+// pool runs plan on the worker pool with no warm state and no cache.
+func pool[T any](r Runner, plan Plan, exec func(i int, c Cell) T) []Result[T] {
+	return runWarm(r, plan, func() struct{} { return struct{}{} },
+		func(i int, c Cell, _ struct{}) (T, bool) { return exec(i, c), false })
 }

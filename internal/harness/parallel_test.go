@@ -22,60 +22,41 @@ func poolWorkers() int {
 	return 4
 }
 
-// TestFigure7DeterministicAcrossWorkers is the runner's core contract:
-// the full Figure 7 result map — and the rendered report — must be
-// identical when computed with 1 worker and with a full worker pool, and
-// across two runs at the same worker count.
-func TestFigure7DeterministicAcrossWorkers(t *testing.T) {
-	o := Options{Seeds: []uint64{1}}
-	run := func(workers int) (map[string]map[int][3]float64, string) {
-		o.Workers = workers
-		var buf bytes.Buffer
-		data := Figure7(&buf, o)
-		return data, buf.String()
-	}
-
-	serial, serialOut := run(1)
-	parallel, parallelOut := run(poolWorkers())
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("Figure7 data diverges between 1 worker and %d workers", poolWorkers())
-	}
-	if serialOut != parallelOut {
-		t.Fatalf("Figure7 report not byte-identical across worker counts:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
-			serialOut, poolWorkers(), parallelOut)
-	}
-
-	again, againOut := run(poolWorkers())
-	if !reflect.DeepEqual(parallel, again) || parallelOut != againOut {
-		t.Fatalf("Figure7 not reproducible across two runs at %d workers", poolWorkers())
-	}
-}
-
-// TestFigure8ParallelIdenticalAndTimed runs the Figure 8 sweep serially
-// and on a full worker pool: the outputs must be byte-identical, and on a
-// multi-core machine the parallel sweep must be faster.
+// TestFigure8ParallelIdenticalAndTimed is the runner's core contract:
+// Figures 7 and 8, rendered together (Figure 7's cells are a subset of
+// Figure 8's, so RenderSections simulates Figure 8's plan once), must
+// return identical data and byte-identical text with 1 worker and with a
+// full worker pool, and across two renders on the pool; on a multi-core
+// machine the pool must also be faster.
 func TestFigure8ParallelIdenticalAndTimed(t *testing.T) {
-	o := Options{Seeds: []uint64{1}}
-	run := func(workers int) (map[string]map[string][]float64, string, time.Duration) {
-		o.Workers = workers
-		var buf bytes.Buffer
+	names := []string{"figure7", "figure8"}
+	run := func(workers int) ([]Section, time.Duration) {
 		start := time.Now()
-		data := Figure8(&buf, o)
-		return data, buf.String(), time.Since(start)
+		secs, err := RenderSections(names, 0, Options{Seeds: []uint64{1}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return secs, time.Since(start)
 	}
 
-	serial, serialOut, serialWall := run(1)
-	parallel, parallelOut, parallelWall := run(poolWorkers())
-	t.Logf("Figure8 sweep: workers=1 %v, workers=%d %v", serialWall, poolWorkers(), parallelWall)
-
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("Figure8 data diverges between 1 worker and %d workers", poolWorkers())
-	}
-	if serialOut != parallelOut {
-		t.Fatal("Figure8 report not byte-identical across worker counts")
+	serial, serialWall := run(1)
+	parallel, parallelWall := run(poolWorkers())
+	t.Logf("Figure 7+8 sweep: workers=1 %v, workers=%d %v", serialWall, poolWorkers(), parallelWall)
+	again, _ := run(poolWorkers())
+	for i, name := range names {
+		if !reflect.DeepEqual(serial[i].Data, parallel[i].Data) {
+			t.Errorf("%s data diverges between 1 worker and %d workers", name, poolWorkers())
+		}
+		if !bytes.Equal(serial[i].Text, parallel[i].Text) {
+			t.Errorf("%s report not byte-identical across worker counts:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
+				name, serial[i].Text, poolWorkers(), parallel[i].Text)
+		}
+		if !reflect.DeepEqual(parallel[i], again[i]) {
+			t.Errorf("%s not reproducible across two renders at %d workers", name, poolWorkers())
+		}
 	}
 	if runtime.GOMAXPROCS(0) > 1 && parallelWall >= serialWall {
-		t.Errorf("parallel Figure8 sweep (%v at %d workers) not faster than serial (%v)",
+		t.Errorf("parallel sweep (%v at %d workers) not faster than serial (%v)",
 			parallelWall, poolWorkers(), serialWall)
 	}
 }

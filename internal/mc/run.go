@@ -167,9 +167,9 @@ func (f Family) String() string {
 
 // EngineFamily classifies an engine by exhaustively exploring the
 // write-skew litmus: an engine that admits the anomaly somewhere in that
-// schedule space runs under snapshot isolation. It is the model-checking
-// counterpart of tmtest.DetectIsolation's single-schedule probe; the
-// registry sweep pins the two to agree for every engine.
+// schedule space runs under snapshot isolation. sitm-check uses it to
+// pick each engine's contract, and internal/tmtest's registry sweep to
+// pick each engine's isolation suite.
 func EngineFamily(engine string, eopts tm.EngineOptions) (Family, error) {
 	prog, err := ProgramByName("write-skew")
 	if err != nil {

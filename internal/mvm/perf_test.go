@@ -215,24 +215,27 @@ func TestRevertCoalescedRestoresPrev(t *testing.T) {
 	}
 }
 
-// benchmarkInstall drives the steady-state Install hot path. With
-// turnover, a sliding window of active snapshots pins recent versions so
-// every install walks gc, fails coalescing and exercises the DropOldest
-// shift; without it, every install coalesces in place.
-func benchmarkInstall(b *testing.B, cfg Config, turnover bool) {
+// steadyInstall returns the steady-state Install hot path, one install
+// per call, after 16 installs that reach steady state. With turnover, a
+// sliding window of active snapshots pins recent versions so every
+// install walks gc, fails coalescing and exercises the DropOldest shift;
+// without it, every install coalesces in place.
+func steadyInstall(tb testing.TB, cfg Config, turnover bool) func() {
 	clk := clock.New()
 	active := clock.NewActiveTable()
 	m := New(cfg, clk, active)
 	const line = mem.Line(1)
 	var words [mem.WordsPerLine]uint64
-	install := func(i int) {
+	i := 0
+	install := func() {
 		if turnover {
 			active.Register(clk.Begin())
 		}
 		ts := clk.ReserveEnd()
 		words[0] = uint64(i)
+		i++
 		if _, err := m.Install(line, ts, m.NewestLine(line), 1, &words); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		clk.CompleteEnd(ts)
 		if turnover && active.Len() > 4 {
@@ -240,43 +243,42 @@ func benchmarkInstall(b *testing.B, cfg Config, turnover bool) {
 			active.Deregister(s)
 		}
 	}
-	for i := 0; i < 16; i++ {
-		install(i) // reach steady state before measuring
+	for j := 0; j < 16; j++ {
+		install()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		install(i)
+	return install
+}
+
+var installPaths = []struct {
+	name     string
+	cfg      Config
+	turnover bool
+}{
+	{"coalesce", DefaultConfig(), false},
+	{"dropoldest", Config{MaxVersions: 4, Policy: DropOldest, Coalesce: true}, true},
+}
+
+// BenchmarkInstall times both steady-state paths.
+func BenchmarkInstall(b *testing.B) {
+	for _, p := range installPaths {
+		b.Run(p.name, func(b *testing.B) {
+			install := steadyInstall(b, p.cfg, p.turnover)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				install()
+			}
+		})
 	}
 }
 
-// BenchmarkInstall must report 0 allocs/op on both steady-state paths:
+// TestInstallZeroAllocs asserts that neither steady-state path allocates:
 // the version list lives in its inline array and gc walks without a mark
 // buffer.
-func BenchmarkInstall(b *testing.B) {
-	b.Run("coalesce", func(b *testing.B) {
-		benchmarkInstall(b, DefaultConfig(), false)
-	})
-	b.Run("dropoldest", func(b *testing.B) {
-		benchmarkInstall(b, Config{MaxVersions: 4, Policy: DropOldest, Coalesce: true}, true)
-	})
-}
-
-// TestInstallZeroAllocs asserts the acceptance bound directly for both
-// steady-state paths.
 func TestInstallZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full benchmarks")
-	}
-	for name, bench := range map[string]func(*testing.B){
-		"coalesce": func(b *testing.B) { benchmarkInstall(b, DefaultConfig(), false) },
-		"dropoldest": func(b *testing.B) {
-			benchmarkInstall(b, Config{MaxVersions: 4, Policy: DropOldest, Coalesce: true}, true)
-		},
-	} {
-		r := testing.Benchmark(bench)
-		if a := r.AllocsPerOp(); a != 0 {
-			t.Errorf("%s: Install allocates %d allocs/op, want 0", name, a)
+	for _, p := range installPaths {
+		if a := testing.AllocsPerRun(1000, steadyInstall(t, p.cfg, p.turnover)); a != 0 {
+			t.Errorf("%s: Install allocates %v times per call, want 0", p.name, a)
 		}
 	}
 }

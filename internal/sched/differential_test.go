@@ -370,26 +370,40 @@ func BenchmarkHandoff(b *testing.B) {
 	}
 }
 
-// TestTickFastPathZeroAllocs asserts the acceptance bound directly: the
-// steady-state Tick fast path allocates nothing.
+// TestTickFastPathZeroAllocs counts the allocations of one Tick on the
+// inline fast path, thread 0 charging while thread 1 idles far in the
+// simulated future: there must be none.
 func TestTickFastPathZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full benchmark")
-	}
-	r := testing.Benchmark(benchmarkTick)
-	if a := r.AllocsPerOp(); a != 0 {
-		t.Fatalf("Tick fast path allocates %d allocs/op, want 0", a)
-	}
+	New(2, 1).Run(func(th *Thread) {
+		if th.ID() == 1 {
+			th.Tick(1 << 40)
+			return
+		}
+		if a := testing.AllocsPerRun(1000, func() { th.Tick(1) }); a != 0 {
+			t.Errorf("Tick fast path allocates %v times per charge, want 0", a)
+		}
+	})
 }
 
-// TestHandoffZeroAllocs asserts the handoff path allocates nothing in
-// steady state at the largest benchmarked machine.
+// TestHandoffZeroAllocs counts the allocations of the handoff path on
+// the largest benchmarked machine: 32 threads charge small
+// pseudo-random amounts, so nearly every charge hands off, and the
+// count for each of thread 0's charges takes in the other threads'
+// charges and handoffs until it runs again. There must be none.
 func TestHandoffZeroAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full benchmark")
-	}
-	r := testing.Benchmark(func(b *testing.B) { benchmarkHandoff(b, 32) })
-	if a := r.AllocsPerOp(); a != 0 {
-		t.Fatalf("handoff path allocates %d allocs/op, want 0", a)
-	}
+	done := false
+	New(32, 1).Run(func(th *Thread) {
+		r := th.Rand()
+		if th.ID() != 0 {
+			for !done {
+				th.Tick(1 + r.Uint64()%8)
+			}
+			return
+		}
+		a := testing.AllocsPerRun(1000, func() { th.Tick(1 + r.Uint64()%8) })
+		done = true
+		if a != 0 {
+			t.Errorf("handoff path allocates %v times per charge of thread 0, want 0", a)
+		}
+	})
 }

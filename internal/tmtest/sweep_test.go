@@ -3,6 +3,7 @@ package tmtest_test
 import (
 	"testing"
 
+	"repro/internal/mc"
 	"repro/internal/tm"
 	"repro/internal/tmtest"
 
@@ -15,8 +16,9 @@ import (
 // TestRegistrySweep runs the conformance suite against every engine the
 // tm registry knows, by registered name rather than a hard-coded list:
 // an engine added in a future PR is covered the moment it self-registers.
-// The isolation suite is chosen by probing the engine's behaviour on the
-// write-skew litmus, so the sweep needs no per-engine knowledge at all.
+// The isolation suite is chosen by mc.EngineFamily, which explores every
+// schedule of the write-skew litmus on the engine, so the sweep needs no
+// per-engine knowledge at all.
 func TestRegistrySweep(t *testing.T) {
 	names := tm.Engines()
 	if len(names) < 4 {
@@ -32,12 +34,14 @@ func TestRegistrySweep(t *testing.T) {
 				return e
 			}
 			tmtest.RunConformance(t, f)
-			iso := tmtest.DetectIsolation(f)
-			t.Logf("%s probes as %s", name, iso)
-			switch iso {
-			case tmtest.SnapshotIsolation:
+			fam, err := mc.EngineFamily(name, tm.EngineOptions{})
+			if err != nil {
+				t.Fatalf("EngineFamily(%s): %v", name, err)
+			}
+			t.Logf("%s explores as %s", name, fam)
+			if fam == mc.FamilySI {
 				tmtest.RunSnapshotIsolationSuite(t, f)
-			case tmtest.Serializable:
+			} else {
 				tmtest.RunSerializableSuite(t, f)
 			}
 		})
@@ -45,12 +49,14 @@ func TestRegistrySweep(t *testing.T) {
 }
 
 // TestRegistrySweepOptions re-runs conformance under the engine options
-// the evaluation sweeps (word granularity, unbounded versions), again for
-// every registered engine; engines ignore options that do not apply.
+// the evaluation sweeps (word granularity, unbounded versions, no version
+// coalescing) and on the reference store, again for every registered
+// engine; engines ignore options that do not apply.
 func TestRegistrySweepOptions(t *testing.T) {
 	opts := map[string]tm.EngineOptions{
 		"word-granularity":   {WordGranularity: true},
 		"unbounded-versions": {UnboundedVersions: true},
+		"no-coalescing":      {NoCoalescing: true},
 		"reference-store":    {ReferenceStore: true},
 	}
 	for _, name := range tm.Engines() {

@@ -1,9 +1,10 @@
 // Package tmtest provides a conformance suite that every transactional
 // memory engine in this repository must pass: atomicity, consistency of
 // snapshots or doom-checking, no lost updates, read-your-own-writes,
-// explicit aborts, and determinism. The engine packages invoke it from
-// their own tests so a behavioural regression in any engine fails loudly
-// at the engine that caused it.
+// explicit aborts, and determinism. The package's own tests run it, and
+// the engine-generic hot-path and slack contracts, once over every engine
+// the tm registry knows, so a behavioural regression in any engine fails
+// under that engine's name.
 package tmtest
 
 import (
