@@ -52,6 +52,26 @@ func TestConformanceSITMNoCoalescing(t *testing.T) {
 	})
 }
 
+// TestTxnHotPathsAllocFree runs SI-TM's and SSI-TM's leaves of tmtest's
+// hot-path table: 0 allocations per transaction.
+func TestTxnHotPathsAllocFree(t *testing.T) {
+	tmtest.RunTxnHotPathsAllocFree(t, "SI-TM", "SSI-TM")
+}
+
+// TestSlackFollowsWriteSet: SI-TM, whose writes stay private until
+// commit, publishes CommitOverhead + L1Latency from Begin through its
+// writes and honours promises with an L1Latency charge per read; a tracer
+// and SSI-TM's shared reader tables turn promises off.
+func TestSlackFollowsWriteSet(t *testing.T) {
+	cfg := core.DefaultConfig()
+	read, charge := cfg.CommitOverhead+cfg.Cache.L1Latency, cfg.Cache.L1Latency
+	tmtest.RunSlackFollowsWriteSet(t,
+		tmtest.SlackCase{Name: "SI-TM", Engine: "SI-TM", Read: read, Charge: charge, AfterWrite: read, HonoursPromises: true},
+		tmtest.SlackCase{Name: "SI-TM traced", Engine: "SI-TM", Traced: true, Read: read, Charge: charge, AfterWrite: read},
+		tmtest.SlackCase{Name: "SSI-TM", Engine: "SSI-TM", Read: read, Charge: charge, AfterWrite: read},
+	)
+}
+
 func TestConformanceSITMBoundedWindow(t *testing.T) {
 	tmtest.RunConformance(t, func() tm.Engine {
 		cfg := core.DefaultConfig()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmtest"
 )
 
 // TestBeginStallsDuringCommit verifies the starter-stall rule (§4.2): a
@@ -117,17 +116,6 @@ func TestMaxInflightBoundsWindow(t *testing.T) {
 	if e.Clock().InFlight() != 0 {
 		t.Fatal("window not drained")
 	}
-}
-
-// TestConformanceSITMBoundedWindow runs the conformance suite with at
-// most two commits in flight, a bound tm.EngineOptions does not reach;
-// internal/tmtest's registry sweeps cover every other configuration.
-func TestConformanceSITMBoundedWindow(t *testing.T) {
-	tmtest.RunConformance(t, func() tm.Engine {
-		cfg := DefaultConfig()
-		cfg.MaxInflight = 2
-		return New(cfg)
-	})
 }
 
 // TestAbortedCommitDrainsWindow checks that a write-write abort retires

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,42 +23,75 @@ func poolWorkers() int {
 	return 4
 }
 
-// TestFigure8ParallelIdenticalAndTimed is the runner's core contract:
-// Figures 7 and 8, rendered together (Figure 7's cells are a subset of
-// Figure 8's, so RenderSections simulates Figure 8's plan once), must
-// return identical data and byte-identical text with 1 worker and with a
-// full worker pool, and across two renders on the pool; on a multi-core
-// machine the pool must also be faster.
-func TestFigure8ParallelIdenticalAndTimed(t *testing.T) {
-	names := []string{"figure7", "figure8"}
-	run := func(workers int) ([]Section, time.Duration) {
+// figureRenders renders Figures 7 and 8 together (Figure 7's cells are a
+// subset of Figure 8's, so RenderSections simulates Figure 8's plan once)
+// with 1 worker, on a full worker pool, and on the pool again. The renders
+// are made once and shared by the two tests below, each of which checks
+// its own figure.
+var figureRenders = sync.OnceValues(func() (figureRuns, error) {
+	var r figureRuns
+	run := func(workers int) ([]Section, time.Duration, error) {
 		start := time.Now()
-		secs, err := RenderSections(names, 0, Options{Seeds: []uint64{1}, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return secs, time.Since(start)
+		secs, err := RenderSections(figureNames, 0, Options{Seeds: []uint64{1}, Workers: workers})
+		return secs, time.Since(start), err
 	}
+	var err error
+	if r.serial, r.serialWall, err = run(1); err != nil {
+		return r, err
+	}
+	if r.parallel, r.parallelWall, err = run(poolWorkers()); err != nil {
+		return r, err
+	}
+	r.again, _, err = run(poolWorkers())
+	return r, err
+})
 
-	serial, serialWall := run(1)
-	parallel, parallelWall := run(poolWorkers())
-	t.Logf("Figure 7+8 sweep: workers=1 %v, workers=%d %v", serialWall, poolWorkers(), parallelWall)
-	again, _ := run(poolWorkers())
-	for i, name := range names {
-		if !reflect.DeepEqual(serial[i].Data, parallel[i].Data) {
-			t.Errorf("%s data diverges between 1 worker and %d workers", name, poolWorkers())
-		}
-		if !bytes.Equal(serial[i].Text, parallel[i].Text) {
-			t.Errorf("%s report not byte-identical across worker counts:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
-				name, serial[i].Text, poolWorkers(), parallel[i].Text)
-		}
-		if !reflect.DeepEqual(parallel[i], again[i]) {
-			t.Errorf("%s not reproducible across two renders at %d workers", name, poolWorkers())
-		}
+var figureNames = []string{"figure7", "figure8"}
+
+type figureRuns struct {
+	serial, parallel, again  []Section
+	serialWall, parallelWall time.Duration
+}
+
+// checkFigureDeterministic requires section i of figureRenders to return
+// identical data and byte-identical text with 1 worker and with a full
+// worker pool, and across the two renders on the pool.
+func checkFigureDeterministic(t *testing.T, i int) figureRuns {
+	t.Helper()
+	r, err := figureRenders()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if runtime.GOMAXPROCS(0) > 1 && parallelWall >= serialWall {
+	name := figureNames[i]
+	if !reflect.DeepEqual(r.serial[i].Data, r.parallel[i].Data) {
+		t.Errorf("%s data diverges between 1 worker and %d workers", name, poolWorkers())
+	}
+	if !bytes.Equal(r.serial[i].Text, r.parallel[i].Text) {
+		t.Errorf("%s report not byte-identical across worker counts:\n--- 1 worker ---\n%s\n--- %d workers ---\n%s",
+			name, r.serial[i].Text, poolWorkers(), r.parallel[i].Text)
+	}
+	if !reflect.DeepEqual(r.parallel[i], r.again[i]) {
+		t.Errorf("%s not reproducible across two renders at %d workers", name, poolWorkers())
+	}
+	return r
+}
+
+// TestFigure7DeterministicAcrossWorkers is the runner's core contract:
+// the full Figure 7 result map — and the rendered report — must be
+// identical when computed with 1 worker and with a full worker pool, and
+// across two runs at the same worker count.
+func TestFigure7DeterministicAcrossWorkers(t *testing.T) {
+	checkFigureDeterministic(t, 0)
+}
+
+// TestFigure8ParallelIdenticalAndTimed holds Figure 8 to the same
+// contract; on a multi-core machine the pool must also be faster.
+func TestFigure8ParallelIdenticalAndTimed(t *testing.T) {
+	r := checkFigureDeterministic(t, 1)
+	t.Logf("Figure 7+8 sweep: workers=1 %v, workers=%d %v", r.serialWall, poolWorkers(), r.parallelWall)
+	if runtime.GOMAXPROCS(0) > 1 && r.parallelWall >= r.serialWall {
 		t.Errorf("parallel sweep (%v at %d workers) not faster than serial (%v)",
-			parallelWall, poolWorkers(), serialWall)
+			r.parallelWall, poolWorkers(), r.serialWall)
 	}
 }
 

@@ -49,14 +49,13 @@ func TestRegistrySweep(t *testing.T) {
 }
 
 // TestRegistrySweepOptions re-runs conformance under the engine options
-// the evaluation sweeps (word granularity, unbounded versions, no version
-// coalescing) and on the reference store, again for every registered
-// engine; engines ignore options that do not apply.
+// the evaluation sweeps (word granularity, unbounded versions) and on the
+// reference store, again for every registered engine; engines ignore
+// options that do not apply.
 func TestRegistrySweepOptions(t *testing.T) {
 	opts := map[string]tm.EngineOptions{
 		"word-granularity":   {WordGranularity: true},
 		"unbounded-versions": {UnboundedVersions: true},
-		"no-coalescing":      {NoCoalescing: true},
 		"reference-store":    {ReferenceStore: true},
 	}
 	for _, name := range tm.Engines() {

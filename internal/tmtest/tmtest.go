@@ -1,10 +1,12 @@
 // Package tmtest provides a conformance suite that every transactional
 // memory engine in this repository must pass: atomicity, consistency of
 // snapshots or doom-checking, no lost updates, read-your-own-writes,
-// explicit aborts, and determinism. The package's own tests run it, and
-// the engine-generic hot-path and slack contracts, once over every engine
-// the tm registry knows, so a behavioural regression in any engine fails
-// under that engine's name.
+// explicit aborts, and determinism. It also holds the engine-generic
+// hot-path allocation and interaction-slack contracts (hotpath.go,
+// slack.go), which build engines through the tm registry. The engine
+// packages invoke them from their own tests so a behavioural regression
+// in any engine fails loudly at the engine that caused it; the package's
+// own tests sweep the conformance suite over every registered engine.
 package tmtest
 
 import (
