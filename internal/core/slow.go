@@ -144,11 +144,12 @@ func (x *slowTxn) Site(s string) tm.Txn {
 	return x
 }
 
-// Fence and PromiseReads implement tm.Txn: the reference path never
-// batches, so its thread is always at a per-event scheduling point and
-// publishes no slack to extend.
+// Fence, PromiseReads and ReserveReads implement tm.Txn: the reference
+// path never batches, so its thread is always at a per-event scheduling
+// point and publishes no slack to extend.
 func (x *slowTxn) Fence()           {}
 func (x *slowTxn) PromiseReads(int) {}
+func (x *slowTxn) ReserveReads(int) {}
 
 // Read implements tm.Txn: the most current version older than the start
 // timestamp is returned (§4.2, TM READ), unless the transaction itself

@@ -33,9 +33,9 @@ type Base struct {
 // Init names the engine and builds its memory system (referenceStore:
 // the dense backing, the paged store's oracle). readSlack is the slack a
 // thread publishes outside a writer's critical section, readCharge the
-// smallest charge of one read (each promised read adds it to the slack;
-// see Attempt.PromiseReads); batchable says whether the configuration
-// admits batching.
+// smallest charge of one read (each promised or reserved read adds it to
+// the slack; see Attempt.PromiseReads); batchable says whether the
+// configuration admits batching.
 func (e *Base) Init(name string, c cache.Config, referenceStore bool, readSlack, readCharge uint64, batchable bool) {
 	e.Caches = cache.NewSystem(c, referenceStore)
 	e.name, e.readSlack, e.readCharge = name, readSlack, readCharge
@@ -124,19 +124,35 @@ type Attempt struct {
 	Writes   aset.WriteLog // speculative stores, in first-write order
 	Finished bool
 	self     tm.Txn
-	// promised counts the reads still owed under PromiseReads.
-	promised int
+	// owed counts the reads outstanding: those still promised under
+	// PromiseReads plus the reserved ones, guaranteed after the current
+	// operation (ReserveReads). One sum keeps the checks of Write,
+	// Commit, Abort and a peer's doom to one load.
+	owed, reserved int
 }
 
 // PromiseReads implements tm.Txn. The promise is honoured only while the
 // engine batches and the write log is empty: the thread's next write or
 // commit then lies behind n more read charges of at least readCharge
 // each, so until those reads are spent it publishes readSlack +
-// remaining × readCharge, and a peer's horizon reaches past its next
-// read. Elsewhere it is a no-op.
+// (remaining + reserved) × readCharge, and a peer's horizon reaches past
+// its next read. A promise never lowers an outstanding count: the reads
+// already promised are still owed. Elsewhere it is a no-op.
 func (x *Attempt) PromiseReads(n int) {
-	if n > 0 && x.base.Batch && x.Writes.Len() == 0 {
-		x.promised = n
+	if n > x.owed-x.reserved && x.base.Batch && x.Writes.Len() == 0 {
+		x.owed = x.reserved + n
+		x.publish()
+	}
+}
+
+// ReserveReads implements tm.Txn: n reads are guaranteed after the
+// current operation, on top of any promised. Reads do not spend the
+// reserve; the caller sets it, and lowers it to zero before any
+// operation that may write. It is honoured where PromiseReads is.
+func (x *Attempt) ReserveReads(n int) {
+	if x.base.Batch && x.Writes.Len() == 0 {
+		x.owed += n - x.reserved
+		x.reserved = n
 		x.publish()
 	}
 }
@@ -146,39 +162,40 @@ func (x *Attempt) PromiseReads(n int) {
 // before its charge, so a park inside that charge publishes only the
 // reads that follow it.
 func (x *Attempt) SpendRead() {
-	if x.promised != 0 {
-		x.promised--
+	if x.owed != x.reserved {
+		x.owed--
 		x.publish()
 	}
 }
 
-// publish sets the slack of the outstanding promised reads.
+// publish sets the slack of the outstanding promised and reserved reads.
 func (x *Attempt) publish() {
-	x.Thread.SetSlack(x.base.readSlack + uint64(x.promised)*x.base.readCharge)
+	x.Thread.SetSlack(x.base.readSlack + uint64(x.owed)*x.base.readCharge)
 }
 
-// KeepPromise panics if promised reads are outstanding: op — Write,
-// Commit or an explicit Abort — breaks the promise, and a peer may
-// already have batched past the effect it leads to. A conflict abort
+// KeepPromise panics if promised or reserved reads are outstanding: op —
+// Write, Commit or an explicit Abort — breaks the promise, and a peer
+// may already have batched past the effect it leads to. A conflict abort
 // does not break it: the engine dooms the attempt (see Revoke) or
-// aborts it inside a read, and finish clears the count.
+// aborts it inside a read, and finish clears both counts.
 func (x *Attempt) KeepPromise(op string) {
-	if x.promised != 0 {
+	if x.owed != 0 {
 		x.breakPromise(op)
 	}
 }
 
 func (x *Attempt) breakPromise(op string) {
-	panic(fmt.Sprintf("%s: transaction %d on thread %d: %s with %d promised reads outstanding",
-		x.base.name, x.id, x.Thread.ID(), op, x.promised))
+	panic(fmt.Sprintf("%s: transaction %d on thread %d: %s with %d promised reads outstanding, %d reserved",
+		x.base.name, x.id, x.Thread.ID(), op, x.owed-x.reserved, x.reserved))
 }
 
-// Revoke drops the outstanding promise of an attempt a peer has just
-// doomed, and lowers its parked thread's slack back to readSlack
-// (sched.Thread.RevokeSlack): the doomed attempt unwinds at its next
-// access instead of reading on, and its retry may write at once.
+// Revoke drops the outstanding promise and reserve of an attempt a peer
+// has just doomed, and lowers its parked thread's slack back to
+// readSlack (sched.Thread.RevokeSlack): the doomed attempt unwinds at
+// its next access instead of reading on, and its retry may write at
+// once.
 func (x *Attempt) Revoke() {
-	if x.promised != 0 {
+	if x.owed != 0 {
 		x.revoke()
 	}
 }
@@ -188,7 +205,7 @@ func (x *Attempt) Revoke() {
 //
 //go:noinline
 func (x *Attempt) revoke() {
-	x.promised = 0
+	x.owed, x.reserved = 0, 0
 	x.Thread.RevokeSlack(x.base.readSlack)
 }
 
@@ -233,9 +250,9 @@ func (x *Attempt) Committed(readOnly bool) {
 }
 
 // finish resets the write log (keeping its capacity), drops any promised
-// reads and re-publishes the out-of-critical-section slack.
+// and reserved reads and re-publishes the out-of-critical-section slack.
 func (x *Attempt) finish() {
-	x.Finished, x.promised = true, 0
+	x.Finished, x.owed, x.reserved = true, 0, 0
 	x.Thread.SetSlack(x.base.readSlack)
 	x.Writes.Reset()
 }

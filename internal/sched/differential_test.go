@@ -206,8 +206,8 @@ func TestRunMatchesSlowFarCycles(t *testing.T) {
 	}
 }
 
-// TestRunMatchesSlowBarrier differentially checks the spin barrier, whose
-// zero-progress polling is the harshest tie-breaking workload.
+// TestRunMatchesSlowBarrier differentially checks the barrier, whose
+// held waiters re-enter the schedule at exit cycles the releaser sets.
 func TestRunMatchesSlowBarrier(t *testing.T) {
 	for _, threads := range []int{2, 4, 8} {
 		seed := uint64(9)

@@ -73,6 +73,9 @@ type Thread struct {
 	resumed bool
 	done    bool
 	stalled bool
+	// held marks a stall that WakeAll skips: a barrier waiter, which
+	// only the barrier's release unparks (see hold and Sim.unhold).
+	held bool
 }
 
 // ID returns the thread's index in [0, NumThreads).
@@ -274,8 +277,8 @@ func (t *Thread) Interact() {
 	}
 }
 
-// WakeAll unparks every stalled thread of the machine, advancing their
-// clocks to this thread's clock (see Sim.WakeAll).
+// WakeAll unparks every stalled thread of the machine but the held
+// ones, advancing their clocks to this thread's clock (see Sim.WakeAll).
 func (t *Thread) WakeAll() { t.sim.WakeAll(t) }
 
 // Stall parks the thread until another thread calls Sim.WakeAll. It models
@@ -286,6 +289,15 @@ func (t *Thread) WakeAll() { t.sim.WakeAll(t) }
 func (t *Thread) Stall() {
 	t.stalled = true
 	t.suspend()
+}
+
+// hold parks the thread in a held stall: WakeAll skips it, and only the
+// running thread's Sim.unhold makes it runnable again. While held it has
+// no leaf in the tree, so it bounds neither a peer's inline limit nor
+// its horizon.
+func (t *Thread) hold() {
+	t.held = true
+	t.Stall()
 }
 
 // node is one winner-tree node: the lowest counter among the runnable
@@ -464,16 +476,16 @@ func (s *Sim) TotalCycles() uint64 {
 	return m
 }
 
-// WakeAll unparks every stalled thread, advancing their clocks to the
-// caller's clock so that waiting time is charged. Under the tree
-// conductor the woken threads' leaves are replayed with their advanced
-// (and from then on frozen) counters, and the waker's inline bound is
-// re-derived: a woken thread at the waker's clock with a lower ID now
-// leads it.
+// WakeAll unparks every stalled thread but the held ones (barrier
+// waiters), advancing their clocks to the caller's clock so that waiting
+// time is charged. Under the tree conductor the woken threads' leaves
+// are replayed with their advanced (and from then on frozen) counters,
+// and the waker's inline bound is re-derived: a woken thread at the
+// waker's clock with a lower ID now leads it.
 func (s *Sim) WakeAll(waker *Thread) {
 	woke := false
 	for _, t := range s.threads {
-		if t.stalled {
+		if t.stalled && !t.held {
 			t.stalled = false
 			if t.cycles < waker.cycles {
 				t.cycles = waker.cycles
@@ -486,6 +498,25 @@ func (s *Sim) WakeAll(waker *Thread) {
 	}
 	if woke {
 		s.bind(waker)
+	}
+}
+
+// unhold makes held thread t runnable at cycle c, for the running thread
+// that releases it; under the tree conductor t's leaf is replayed. The
+// releaser then calls rebind, since a released thread may bound its
+// inline limit.
+func (s *Sim) unhold(t *Thread, c uint64) {
+	t.held, t.stalled, t.cycles = false, false, c
+	if s.fast {
+		s.replay(t)
+	}
+}
+
+// rebind re-derives the running thread t's inline bound and drops its
+// cached horizon after unhold, under the tree conductor.
+func (s *Sim) rebind(t *Thread) {
+	if s.fast {
+		s.bind(t)
 	}
 }
 

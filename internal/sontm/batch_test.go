@@ -9,15 +9,15 @@ import (
 	"repro/internal/tm"
 )
 
-// TestDoomRevokesPromisedReads pins the revocation of read promises.
-// First on a parked scanner: thread 1 commits a write of line 3 at SON
-// 1024. Thread 0 promises four reads, reads line 3, which raises its
-// lower bound past 1024, and line 1, and parks with two outstanding.
-// Thread 1, which finds it publishing the read slack plus two reads'
-// charge, commits a write of line 1 at SON 1024, whose broadcast empties
-// the scanner's interval; the scanner then publishes the read slack, and
-// again after it unwinds. Then end to end: each thread first caches its
-// lines, then all three meet at cycle t0.
+// TestDoomRevokesPromisedReads pins the revocation of read promises and
+// reserves. First on a parked scanner: thread 1 commits a write of line
+// 3 at SON 1024. Thread 0 reserves two reads, promises two, reads line
+// 3, which raises its lower bound past 1024, and line 1, and parks with
+// the reserve outstanding. Thread 1, which finds it publishing the read
+// slack plus two reads' charge, commits a write of line 1 at SON 1024,
+// whose broadcast empties the scanner's interval; the scanner then
+// publishes the read slack, and again after it unwinds. Then end to end:
+// each thread first caches its lines, then all three meet at cycle t0.
 // Thread 1 has committed a write of line 3 at SON 1024, so thread 0's
 // read of it raises the reader's lower bound past 1024. Thread 0 then
 // promises a 64-line scan whose first 16 lines hit its L1 and parks
@@ -54,7 +54,8 @@ func TestDoomRevokesPromisedReads(t *testing.T) {
 		case 0:
 			th.Tick(1 << 18) // after thread 1's write of line 3
 			err := tm.RunOnce(parked, th, func(tx tm.Txn) error {
-				tx.PromiseReads(4)
+				tx.ReserveReads(2)
+				tx.PromiseReads(2)
 				tx.Read(addr(3))
 				tx.Read(addr(1))
 				th.Tick(1 << 20)
@@ -68,7 +69,7 @@ func TestDoomRevokesPromisedReads(t *testing.T) {
 		case 1:
 			write(th, 3)
 			th.Tick(1<<19 - th.Cycles())
-			at("parked with two promised reads", read+2*read)
+			at("parked with two reserved reads", read+2*read)
 			write(th, 1)
 			at("after a peer's doom", read)
 		}

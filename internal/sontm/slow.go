@@ -93,11 +93,12 @@ func (e *Engine) beginSlow(t *sched.Thread) tm.Txn {
 // Site implements tm.Txn.
 func (x *slowTxn) Site(s string) tm.Txn { x.site = s; return x }
 
-// Fence and PromiseReads implement tm.Txn: the reference path never
-// batches, so its thread is always at a per-event scheduling point and
-// publishes no slack to extend.
+// Fence, PromiseReads and ReserveReads implement tm.Txn: the reference
+// path never batches, so its thread is always at a per-event scheduling
+// point and publishes no slack to extend.
 func (x *slowTxn) Fence()           {}
 func (x *slowTxn) PromiseReads(int) {}
+func (x *slowTxn) ReserveReads(int) {}
 
 // raiseLo raises the lower bound; the interval emptying dooms the txn.
 func (x *slowTxn) raiseLo(v uint64, line mem.Line) {

@@ -60,8 +60,12 @@ func (g *Genome) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 		th.LocalTick(g.InterTxnCycles)
 		seg := uint64(1 + r.Intn(g.KeySpace))
 		atomicOp(m, th, bo, func(tx tm.Txn) error {
+			// Each probe reads at least its bucket head, so the probes
+			// still to come reserve their reads; the last lowers the
+			// reserve to zero before the link write.
 			var match uint64
 			for p := 0; p < g.ProbesPerMatch; p++ {
+				tx.ReserveReads(g.ProbesPerMatch - 1 - p)
 				cand := uint64(1 + (int(seg)+p*31)%g.KeySpace)
 				if g.table.Contains(tx, cand) {
 					match = cand

@@ -99,7 +99,10 @@ func (w *Intruder) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 			// merge our fragment bit, and count a detection when
 			// the flow completes.
 			atomicOp(m, th, bo, func(tx tm.Txn) error {
+				// The Set below starts with a read of the list head.
+				tx.ReserveReads(1)
 				mask, _ := w.sessions.Get(tx, flow)
+				tx.ReserveReads(0)
 				mask |= 1 << frag
 				if mask == full {
 					w.sessions.Set(tx, flow, 0)

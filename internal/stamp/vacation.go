@@ -78,8 +78,12 @@ func (w *Vacation) Run(m *txlib.Mem, th *sched.Thread, bo tm.BackoffConfig) {
 			// book the first available one — as in vacation,
 			// clients book the specific items of their own
 			// itinerary rather than herding onto a global best.
+			// Each lookup reads at least the root, so the lookups
+			// still to come reserve their reads; the last lowers the
+			// reserve to zero before the booking writes.
 			best, bestVal := 0, uint64(0)
-			for _, it := range items {
+			for q, it := range items {
+				tx.ReserveReads(len(items) - 1 - q)
 				if v, ok := w.table(kind).Lookup(tx, uint64(it)); ok && v > 0 && best == 0 {
 					best, bestVal = it, v
 				}

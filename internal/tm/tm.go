@@ -110,8 +110,19 @@ type Txn interface {
 	// explicit Abort before the last promised read breaks the promise
 	// and panics; a conflict abort drops it. Engines honour it only
 	// while horizon batching is on and nothing has been written; it is
-	// a no-op everywhere else and never changes a simulated outcome.
+	// a no-op everywhere else and never changes a simulated outcome. A
+	// promise never lowers an outstanding count.
 	PromiseReads(n int)
+	// ReserveReads declares that at least n reads follow the current
+	// operation before anything that may write: the lookahead of a
+	// kernel that knows how many more lookups it will issue. Reads do
+	// not spend the reserve; the caller sets it again before each
+	// operation and lowers it to 0 before any operation that may write.
+	// The thread publishes slack for reserved and promised reads alike,
+	// and Write, Commit or an explicit Abort with a reserve outstanding
+	// panics as a broken promise does. It is honoured where
+	// PromiseReads is.
+	ReserveReads(n int)
 }
 
 // Engine is a transactional memory implementation: the paper's SI-TM or

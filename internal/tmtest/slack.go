@@ -2,7 +2,9 @@ package tmtest
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -45,13 +47,17 @@ func (p *slackProbe) TxnAbort(uint64)                   { p.note("abort") }
 // commit entry; SI-TM, whose writes stay private until commit, keeps the
 // read slack through its writes and publishes zero only inside the writer
 // commit. Every engine publishes the read slack again once the
-// transaction finishes, by commit or by abort. While promised reads are
-// outstanding an engine that honours promises adds its read charge, the
-// smallest charge of one read, per remaining read. A tracer turns
-// batching, and with it promises, off; so does SSI-TM, whose reads touch
-// shared reader tables. The traced cases also read the slack inside the
-// operations. A peer's doom revokes a parked scanner's promise (see
-// TestDoomRevokesPromisedReads in internal/twopl and internal/sontm).
+// transaction finishes, by commit or by abort. While promised or
+// reserved reads are outstanding an engine that honours promises adds
+// its read charge, the smallest charge of one read, per outstanding
+// read: reads spend promised reads, not reserved ones, and a promise
+// never lowers an outstanding count. A tracer turns batching, and with
+// it promises and reserves, off; so does SSI-TM, whose reads touch
+// shared reader tables. A second thread, stepping one cycle at a time,
+// checks the slack at every park inside a read, and each read must park; the traced cases also
+// read it inside every operation. A peer's doom revokes a parked
+// scanner's promise and reserve (see TestDoomRevokesPromisedReads in
+// internal/twopl and internal/sontm).
 func RunSlackFollowsWriteSet(t *testing.T, cases ...SlackCase) {
 	t.Helper()
 	for _, c := range cases {
@@ -75,7 +81,28 @@ func slackFollowsWriteSet(t *testing.T, c SlackCase) {
 	if c.Traced {
 		e.SetTracer(p)
 	}
-	sched.New(1, 1).Run(func(th *sched.Thread) {
+	// inRead names the read thread 0 is inside, and parkWant the slack
+	// it must publish at any park there; unparked lists the reads in
+	// which the observer has not yet found it parked.
+	var inRead string
+	var parkWant uint64
+	unparked := map[string]bool{}
+	done := false
+	s := sched.New(2, 1)
+	s.Run(func(th *sched.Thread) {
+		if th.ID() == 1 {
+			for !done {
+				if inRead != "" {
+					delete(unparked, inRead)
+					if got := s.Thread(0).Slack(); got != parkWant {
+						t.Errorf("parked inside the read %s: slack %d, want %d", inRead, got, parkWant)
+					}
+				}
+				th.Tick(1)
+			}
+			return
+		}
+		defer func() { done = true }()
 		p.th = th
 		at := func(when string, want uint64) {
 			t.Helper()
@@ -89,10 +116,19 @@ func slackFollowsWriteSet(t *testing.T, c SlackCase) {
 				t.Fatalf("commit: %v", err)
 			}
 		}
+		// readAt reads line i, whose parks must publish want, as must
+		// the thread after the read.
+		readAt := func(tx tm.Txn, when string, i int, want uint64) {
+			t.Helper()
+			inRead, parkWant = when, want
+			unparked[when] = true
+			tx.Read(line(i))
+			inRead = ""
+			at(when, want)
+		}
 		tx := e.Begin(th)
 		at("at Begin", read)
-		tx.Read(line(1))
-		at("after a read", read)
+		readAt(tx, "a read", 1, read)
 		tx.Write(line(2), 1)
 		at("after the first write", w)
 		tx.Read(line(3))
@@ -104,26 +140,54 @@ func slackFollowsWriteSet(t *testing.T, c SlackCase) {
 		tx.Abort()
 		at("after abort", read)
 		tx = e.Begin(th)
-		tx.Read(line(4))
+		readAt(tx, "a read-only transaction's read", 4, read)
 		commit(tx)
 		at("after a read-only commit", read)
 		tx = e.Begin(th)
 		tx.PromiseReads(3)
 		at("after promising three reads", promised(3))
-		tx.Read(line(5))
-		at("after the first promised read", promised(2))
-		tx.Read(line(6))
-		tx.Read(line(7))
-		at("after the last promised read", promised(0))
+		readAt(tx, "the first promised read", 5, promised(2))
+		readAt(tx, "the second promised read", 6, promised(1))
+		readAt(tx, "the last promised read", 7, promised(0))
 		tx.Write(line(8), 1)
 		commit(tx)
 		at("after a commit that kept its promise", read)
 		tx = e.Begin(th)
 		tx.PromiseReads(1)
-		tx.Read(line(5))
+		readAt(tx, "a read promised before an abort", 5, read)
 		tx.Abort()
 		at("after an abort that kept its promise", read)
+		tx = e.Begin(th)
+		tx.ReserveReads(2)
+		at("after reserving two reads", promised(2))
+		tx.PromiseReads(3)
+		at("after promising three reads on the reserve", promised(5))
+		tx.PromiseReads(1)
+		at("after a smaller promise", promised(5))
+		readAt(tx, "the first read promised on the reserve", 9, promised(4))
+		tx.PromiseReads(1)
+		at("after a smaller promise with reads outstanding", promised(4))
+		readAt(tx, "the second read promised on the reserve", 10, promised(3))
+		readAt(tx, "the last read promised on the reserve", 11, promised(2))
+		readAt(tx, "a read past the promise", 12, promised(2))
+		tx.ReserveReads(1)
+		at("after lowering the reserve to one", promised(1))
+		readAt(tx, "a read on a reserve of one", 13, promised(1))
+		tx.ReserveReads(0)
+		at("after dropping the reserve", promised(0))
+		tx.Write(line(14), 1)
+		commit(tx)
+		at("after a commit that kept its reserve", read)
+		tx = e.Begin(th)
+		tx.ReserveReads(1)
+		readAt(tx, "a read on a reserve before an abort", 9, promised(1))
+		tx.ReserveReads(0)
+		tx.Abort()
+		at("after an abort that kept its reserve", read)
 	})
+	for _, when := range slices.Sorted(maps.Keys(unparked)) {
+		t.Errorf("the observer never found thread 0 parked inside %s", when)
+	}
 	if !c.Traced {
 		return
 	}
@@ -133,6 +197,8 @@ func slackFollowsWriteSet(t *testing.T, c SlackCase) {
 		"begin=" + r, "write=" + wr, "abort=" + r,
 		"begin=" + r, "read=" + r, "commit=" + r,
 		"begin=" + r, "read=" + r, "read=" + r, "read=" + r, "write=" + wr, "commit=" + r,
+		"begin=" + r, "read=" + r, "abort=" + r,
+		"begin=" + r, "read=" + r, "read=" + r, "read=" + r, "read=" + r, "read=" + r, "write=" + wr, "commit=" + r,
 		"begin=" + r, "read=" + r, "abort=" + r,
 	}
 	if !reflect.DeepEqual(p.got, want) {

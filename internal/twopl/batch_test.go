@@ -70,13 +70,13 @@ func TestDoomingReadStaysPerEvent(t *testing.T) {
 	}
 }
 
-// TestDoomRevokesPromisedReads pins the revocation of read promises.
-// First on a parked scanner: thread 0 promises four reads, reads line 1
-// and parks with three outstanding; thread 1, which finds it publishing
-// the read slack plus three reads' charge, dooms it by writing line 1,
-// after which it publishes the read slack, and again after it unwinds.
-// Then end to end: each thread first caches its lines, then all three
-// meet at cycle t0.
+// TestDoomRevokesPromisedReads pins the revocation of read promises and
+// reserves. First on a parked scanner: thread 0 reserves three reads,
+// promises one, reads line 1 and parks with the reserve outstanding;
+// thread 1, which finds it publishing the read slack plus three reads'
+// charge, dooms it by writing line 1, after which it publishes the read
+// slack, and again after it unwinds. Then end to end: each thread first
+// caches its lines, then all three meet at cycle t0.
 // Thread 0 promises a 64-line scan whose first 16 lines hit its L1; it
 // parks inside the 17th read's miss, and thread 1's get-exclusive on
 // line 1 dooms it there. Its retry writes line 2 at once instead of
@@ -101,7 +101,8 @@ func TestDoomRevokesPromisedReads(t *testing.T) {
 		switch th.ID() {
 		case 0:
 			err := tm.RunOnce(parked, th, func(tx tm.Txn) error {
-				tx.PromiseReads(4)
+				tx.ReserveReads(3)
+				tx.PromiseReads(1)
 				tx.Read(addr(1))
 				th.Tick(1 << 20)
 				tx.Read(addr(2)) // unwinds: doomed
@@ -113,7 +114,7 @@ func TestDoomRevokesPromisedReads(t *testing.T) {
 			at("after the scanner unwound", read)
 		case 1:
 			th.Tick(1 << 19)
-			at("parked with three promised reads", read+3*read)
+			at("parked with three reserved reads", read+3*read)
 			if err := tm.RunOnce(parked, th, func(tx tm.Txn) error {
 				tx.Write(addr(1), 1)
 				return nil

@@ -56,6 +56,8 @@ func (h *Hashtable) Get(tx tm.Txn, k uint64) (uint64, bool) {
 	tx.Site(SiteHashLookup)
 	cur := mem.Addr(tx.Read(h.bucket(h.hash(k))))
 	for cur != nilPtr {
+		// The key read is followed by the value or the next pointer.
+		tx.PromiseReads(2)
 		if tx.Read(field(cur, listKey)) == k {
 			return tx.Read(field(cur, listVal)), true
 		}

@@ -47,12 +47,14 @@ const (
 )
 
 // find returns the last node with key < k and its successor, reading
-// through tx.
+// through tx. Every caller reads the successor's key when it is not nil.
 func (l *List) find(tx tm.Txn, k uint64) (prev, next mem.Addr) {
 	tx.Site(SiteListTraverse)
 	prev = l.head
 	next = mem.Addr(tx.Read(field(prev, listNext)))
 	for next != nilPtr {
+		// The key read is followed by next's pointer or the caller's key read.
+		tx.PromiseReads(2)
 		nk := tx.Read(field(next, listKey))
 		if nk >= k {
 			break

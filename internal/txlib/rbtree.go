@@ -70,6 +70,8 @@ func (t *RBTree) Lookup(tx tm.Txn, k uint64) (uint64, bool) {
 	tx.Site(SiteRBLookup)
 	n := t.root(tx)
 	for n != nilPtr {
+		// The key read is followed by a child pointer or the value.
+		tx.PromiseReads(2)
 		nk := tx.Read(field(n, rbKey))
 		switch {
 		case k < nk:
@@ -496,3 +498,4 @@ func (s nonTxShim) Abort()                         {}
 func (s nonTxShim) Site(string) tm.Txn             { return s }
 func (s nonTxShim) Fence()                         {}
 func (s nonTxShim) PromiseReads(int)               {}
+func (s nonTxShim) ReserveReads(int)               {}

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # batch-smoke: end-to-end differential of the horizon-batched conductor.
 #
-# Runs each of four small sweeps twice with sitm-bench — once
+# Runs each of five small sweeps twice with sitm-bench — once
 # with horizon batching (the default) and once with -per-event — and
 # verifies for each that:
 #   - the rendered figure bytes are identical,
@@ -15,8 +15,11 @@
 # sweep's long reads scan past L1, so its batched events are mostly
 # private L2 hits. The Figure 8 Genome sweep runs every thread count and
 # allocates nodes inside transactions, so 2PL and SONTM batch reads right
-# up to txlib's allocator, which must fence through tm.Txn.Fence. The
-# Figure OLTP sweep on kv@0.99 and ledger@0.99 runs the serving tier's
+# up to txlib's allocator, which must fence through tm.Txn.Fence, and
+# parks its waiters at the phase barrier. The Figure 8 Intruder and
+# Vacation sweep runs list and tree lookups that promise each key read's
+# follow-up read under the kernels' reserves (tm.Txn.ReserveReads) for
+# the lookups still to come. The Figure OLTP sweep on kv@0.99 and ledger@0.99 runs the serving tier's
 # long scans and point-read sessions, which promise their reads
 # (tm.Txn.PromiseReads) while skewed writers doom them.
 set -euo pipefail
@@ -77,5 +80,6 @@ smoke() { # smoke <name> <sitm-bench flags...>
 smoke List -fig 7 -workload List
 smoke Array -fig 7 -workload Array
 smoke Genome -fig 8 -workload Genome
+smoke IntruderVacation -fig 8 -workload Intruder,Vacation
 smoke OLTP -oltp -workload kv@0.99,ledger@0.99
 echo "batch-smoke: OK"
