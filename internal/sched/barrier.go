@@ -13,18 +13,14 @@ import "fmt"
 // (see exit): the cycles charged are the spin loop's, without a
 // coroutine switch per poll.
 type Barrier struct {
-	n       int
-	waiting []waiter
+	n int
+	// waiting lists the held threads; a held thread's clock stays at its
+	// arrival until the release.
+	waiting []*Thread
 	// SpinCycles is the poll interval charged per check (default 5). It
 	// must be positive: a waiter polls at its arrival plus a whole
 	// number of intervals.
 	SpinCycles uint64
-}
-
-// waiter is a thread held at the barrier and its arrival cycle.
-type waiter struct {
-	t       *Thread
-	arrival uint64
 }
 
 // NewBarrier creates a barrier for n threads.
@@ -46,19 +42,18 @@ func (b *Barrier) Wait(t *Thread) {
 	// at the per-event scheduling point: end any batched quantum first.
 	t.Fence()
 	if len(b.waiting)+1 < b.n {
-		b.waiting = append(b.waiting, waiter{t, t.cycles})
+		b.waiting = append(b.waiting, t)
 		t.hold()
 		return
 	}
 	for _, w := range b.waiting {
-		t.sim.unhold(w.t, b.exit(w, t))
+		t.sim.unhold(w, b.exit(w, t), t)
 	}
 	b.waiting = b.waiting[:0]
-	t.sim.rebind(t)
 	t.Tick(b.SpinCycles)
 }
 
-// exit returns the cycle at which waiter w's spin loop leaves the
+// exit returns the cycle at which held thread w's spin loop leaves the
 // barrier that thread rel releases now: its first poll, at arrival + m ×
 // SpinCycles with m >= 1, that the conductor orders after the release in
 // (cycles, ID) order. A poll at the release's cycle comes after it only
@@ -66,13 +61,13 @@ func (b *Barrier) Wait(t *Thread) {
 // point (Wait fences), so under Run and RunChoose with DefaultChooser
 // every earlier poll would have found the barrier closed and this one
 // finds it open: the clock is exactly where the spin loop leaves it.
-func (b *Barrier) exit(w waiter, rel *Thread) uint64 {
-	a, r, s := w.arrival, rel.cycles, b.SpinCycles
+func (b *Barrier) exit(w, rel *Thread) uint64 {
+	a, r, s := w.cycles, rel.cycles, b.SpinCycles
 	if r <= a {
 		return a + s
 	}
 	c := a + (r-a)/s*s // the last poll at or before the release
-	if c < r || w.t.id < rel.id {
+	if c < r || w.id < rel.id {
 		c += s
 	}
 	return c

@@ -501,22 +501,14 @@ func (s *Sim) WakeAll(waker *Thread) {
 	}
 }
 
-// unhold makes held thread t runnable at cycle c, for the running thread
-// that releases it; under the tree conductor t's leaf is replayed. The
-// releaser then calls rebind, since a released thread may bound its
-// inline limit.
-func (s *Sim) unhold(t *Thread, c uint64) {
+// unhold makes held thread t runnable at cycle c for rel, the running
+// thread that releases it. Under the tree conductor t's leaf is replayed
+// and rel rebound, as in WakeAll: t may now bound rel's inline limit.
+func (s *Sim) unhold(t *Thread, c uint64, rel *Thread) {
 	t.held, t.stalled, t.cycles = false, false, c
 	if s.fast {
 		s.replay(t)
-	}
-}
-
-// rebind re-derives the running thread t's inline bound and drops its
-// cached horizon after unhold, under the tree conductor.
-func (s *Sim) rebind(t *Thread) {
-	if s.fast {
-		s.bind(t)
+		s.bind(rel)
 	}
 }
 
