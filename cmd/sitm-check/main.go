@@ -12,8 +12,9 @@
 //	                                   variants admit identical history sets
 //
 // The 2-thread programs are exhausted outright; the 3- and 4-thread
-// programs stop at -max-schedules, and verdicts about *admitted*
-// anomalies become lower bounds (the tool says which).
+// programs stop at -max-schedules (0 explores them exhaustively), and
+// verdicts about *admitted* anomalies become lower bounds (the tool says
+// which).
 package main
 
 import (
@@ -35,12 +36,16 @@ func main() {
 	var (
 		engine  = flag.String("engine", "all", "engine to check, or all: "+strings.Join(tm.Engines(), ", "))
 		litmus  = flag.String("litmus", "all", "litmus program to check, or all: "+strings.Join(mc.ProgramNames(), ", "))
-		maxSch  = flag.Int("max-schedules", 200000, "schedule bound per cell; 2-thread programs exhaust below it")
+		maxSch  = flag.Int("max-schedules", 200000, "schedule bound per cell, 0 for none; 2-thread programs exhaust below it")
 		variant = flag.Bool("variants", false, "also run the ReferenceSets and ReferenceCache variants and require identical history sets")
 		list    = flag.Bool("list", false, "list the litmus programs and exit")
 		verbose = flag.Bool("v", false, "print every distinct history with its verdict")
 	)
 	flag.Parse()
+	if *maxSch < 0 {
+		fmt.Fprintf(os.Stderr, "sitm-check: bad -max-schedules %d: the bound must be 0 (none) or positive\n", *maxSch)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, p := range mc.Programs() {

@@ -45,10 +45,14 @@ func main() {
 	)
 	flag.Parse()
 
-	// Validate the engine name up front, before any tracing runs: the
-	// registry error lists every registered engine, like WorkloadByName
-	// does for workloads.
+	// Validate the flags up front, before any tracing runs: the registry
+	// error lists every registered engine, like WorkloadByName does for
+	// workloads.
 	if _, err := tm.NewEngine(*engine, tm.EngineOptions{}); err != nil {
+		fmt.Fprintf(os.Stderr, "skewcheck: %v\n", err)
+		os.Exit(2)
+	}
+	if err := checkCounts(*threads, *txns); err != nil {
 		fmt.Fprintf(os.Stderr, "skewcheck: %v\n", err)
 		os.Exit(2)
 	}
@@ -115,6 +119,18 @@ func main() {
 			fmt.Println("note: residual dependency cycles remain (promoted reads now abort them at runtime)")
 		}
 	}
+}
+
+// checkCounts rejects a thread count the simulator cannot run and a
+// transaction count that would trace nothing.
+func checkCounts(threads, txns int) error {
+	if threads < 1 || threads > sched.MaxThreads {
+		return fmt.Errorf("bad -threads %d: thread count must be in 1..%d", threads, sched.MaxThreads)
+	}
+	if txns < 1 {
+		return fmt.Errorf("bad -txns %d: transactions per thread must be at least 1", txns)
+	}
+	return nil
 }
 
 // buildWorkload returns the per-thread body and a post-run consistency

@@ -16,6 +16,12 @@
 // All types are single-simulation state, used only under the
 // deterministic scheduler: no locking, and iteration order is always
 // first-insertion order, never hash order.
+//
+// LineMap (and WriteLog through it) also has a reference mode, selected
+// with SetReference like mem.Paged's: a Go map indexes the entries and no
+// signature filters probes of a non-empty map. It is the differential oracle for the open
+// addressing and the signature (tm.EngineOptions.ReferenceSets); both
+// modes answer every call identically.
 package aset
 
 import (
@@ -61,6 +67,18 @@ type LineMap[T any] struct {
 	vals  []T      // slot-parallel value slab
 	lines []mem.Line
 	slots []uint32
+	// ref indexes vals by line in the reference mode, nil otherwise.
+	// There vals is in insertion order, tab stays empty (so Put always
+	// sees a full table) and sig has every bit set while the map holds
+	// entries (so Get's signature test passes and the map decides).
+	ref map[mem.Line]uint32
+}
+
+// SetReference switches the empty map to the reference mode (see the
+// package comment). It must be called before the first Put.
+func (m *LineMap[T]) SetReference() {
+	m.ref = make(map[mem.Line]uint32)
+	m.sig = ^uint64(0)
 }
 
 // Len returns the number of entries.
@@ -88,6 +106,9 @@ func (m *LineMap[T]) Get(l mem.Line) (*T, bool) {
 	if m.sig&sigBit(h) == 0 {
 		return nil, false
 	}
+	if m.ref != nil {
+		return m.getRef(l)
+	}
 	mask := uint64(len(m.tab) - 1)
 	k := uint64(l) + 1
 	for i := h >> m.shift; ; i = (i + 1) & mask {
@@ -104,6 +125,11 @@ func (m *LineMap[T]) Get(l mem.Line) (*T, bool) {
 // and reports whether it inserted.
 func (m *LineMap[T]) Put(l mem.Line) (*T, bool) {
 	if 2*len(m.lines) >= len(m.tab) {
+		// The reference mode never allocates tab, so its Puts all take
+		// this branch and the open-addressing path pays no mode test.
+		if m.ref != nil {
+			return m.putRef(l)
+		}
 		m.grow()
 	}
 	h := hashLine(l)
@@ -126,6 +152,10 @@ func (m *LineMap[T]) Put(l mem.Line) (*T, bool) {
 // Reset empties the map in O(touched), zeroing only the value slots the
 // map's entries occupy so the slab is pristine for the next transaction.
 func (m *LineMap[T]) Reset() {
+	if m.ref != nil {
+		// No table to clear: putRef reuses the slab and clears the index.
+		m.slots = m.slots[:0]
+	}
 	var zero T
 	for _, slot := range m.slots {
 		m.tab[slot] = 0
@@ -134,6 +164,39 @@ func (m *LineMap[T]) Reset() {
 	m.lines = m.lines[:0]
 	m.slots = m.slots[:0]
 	m.sig = 0
+}
+
+// getRef and putRef are the reference mode's Get and Put; entry i
+// occupies slot i of vals. Reset leaves the index and the slab stale
+// under a zero signature, so Get misses until the first Put, which
+// clears the index and restores the signature; putRef zeroes each reused
+// slot as it hands it out.
+func (m *LineMap[T]) getRef(l mem.Line) (*T, bool) {
+	if i, ok := m.ref[l]; ok {
+		return &m.vals[i], true
+	}
+	return nil, false
+}
+
+func (m *LineMap[T]) putRef(l mem.Line) (*T, bool) {
+	if len(m.lines) == 0 {
+		clear(m.ref)
+		m.sig = ^uint64(0)
+	}
+	if i, ok := m.ref[l]; ok {
+		return &m.vals[i], false
+	}
+	i := uint32(len(m.lines))
+	var zero T
+	if int(i) < len(m.vals) {
+		m.vals[i] = zero
+	} else {
+		m.vals = append(m.vals, zero)
+	}
+	m.ref[l] = i
+	m.lines = append(m.lines, l)
+	m.slots = append(m.slots, i)
+	return &m.vals[i], true
 }
 
 // grow doubles the table and rehashes, carrying each entry's value to its

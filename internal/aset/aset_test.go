@@ -8,18 +8,18 @@ import (
 )
 
 // TestLineSetMatchesMap drives a line set (a LineMap[struct{}], as SI-TM
-// keeps its promoted and read lines) and a reference Go map with the same
-// random stream — adds, membership probes and periodic resets over a
-// skewed key range — and requires identical answers at every step plus
-// identical first-insertion order. This is the property the engines'
+// keeps its promoted and read lines) in the open-addressing mode and in
+// the map-backed reference mode with the same random stream — adds,
+// membership probes and periodic resets over a skewed key range — and
+// requires identical answers at every step plus identical
+// first-insertion order. This is the property the engines'
 // byte-identical figures rest on: the open-addressing table must be
 // observably a map with deterministic iteration order.
 func TestLineSetMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		var s LineMap[struct{}]
-		ref := map[mem.Line]bool{}
-		var refOrder []mem.Line
+		var s, ref LineMap[struct{}]
+		ref.SetReference()
 		for op := 0; op < 20000; op++ {
 			// Mixed key ranges: a hot dense region (collision-heavy
 			// after masking) and a sparse tail, including line 0.
@@ -30,89 +30,80 @@ func TestLineSetMatchesMap(t *testing.T) {
 			switch r.Intn(8) {
 			case 0: // reset
 				s.Reset()
-				ref = map[mem.Line]bool{}
-				refOrder = refOrder[:0]
+				ref.Reset()
 			case 1, 2: // membership probe
-				if got, want := s.Has(l), ref[l]; got != want {
+				if got, want := s.Has(l), ref.Has(l); got != want {
 					t.Fatalf("seed %d op %d: Has(%d) = %v, want %v", seed, op, l, got, want)
 				}
 			default: // add
 				_, got := s.Put(l)
-				want := !ref[l]
-				if got != want {
+				if _, want := ref.Put(l); got != want {
 					t.Fatalf("seed %d op %d: Put(%d) inserted = %v, want %v", seed, op, l, got, want)
 				}
-				if want {
-					ref[l] = true
-					refOrder = append(refOrder, l)
-				}
 			}
-			if s.Len() != len(ref) {
-				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, s.Len(), len(ref))
+			if s.Len() != ref.Len() {
+				t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, s.Len(), ref.Len())
 			}
 		}
-		lines := s.Lines()
-		if len(lines) != len(refOrder) {
-			t.Fatalf("seed %d: order length %d, want %d", seed, len(lines), len(refOrder))
+		lines, want := s.Lines(), ref.Lines()
+		if len(lines) != len(want) {
+			t.Fatalf("seed %d: order length %d, want %d", seed, len(lines), len(want))
 		}
 		for i := range lines {
-			if lines[i] != refOrder[i] {
-				t.Fatalf("seed %d: Lines()[%d] = %d, want %d (insertion order broken)", seed, i, lines[i], refOrder[i])
+			if lines[i] != want[i] {
+				t.Fatalf("seed %d: Lines()[%d] = %d, want %d (insertion order broken)", seed, i, lines[i], want[i])
 			}
 		}
 	}
 }
 
-// TestWriteLogMatchesMap drives a WriteLog and a reference
-// map[mem.Addr]uint64 with the same random stream of stores, loads and
-// resets, checking word-exact load answers, line membership, and
-// first-write line order.
+// TestWriteLogMatchesMap drives a WriteLog in the open-addressing mode
+// and one in the reference mode with the same random stream of stores,
+// loads and resets, checking line membership, first-write line order,
+// each line's buffered words, and load answers word-exact against the
+// buffered line's mask and words.
 func TestWriteLogMatchesMap(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		var w WriteLog
-		ref := map[mem.Addr]uint64{}
-		var refOrder []mem.Line
-		refLines := map[mem.Line]bool{}
+		var w, ref WriteLog
+		ref.SetReference()
 		for op := 0; op < 20000; op++ {
 			a := mem.Addr(r.Intn(512) * mem.WordBytes)
 			switch r.Intn(8) {
 			case 0: // reset
 				w.Reset()
-				ref = map[mem.Addr]uint64{}
-				refOrder = refOrder[:0]
-				refLines = map[mem.Line]bool{}
+				ref.Reset()
 			case 1, 2, 3: // load
-				got, ok := w.Load(a)
-				want, wok := ref[a]
-				if ok != wok || got != want {
-					t.Fatalf("seed %d op %d: Load(%d) = %d,%v want %d,%v", seed, op, a, got, ok, want, wok)
-				}
 				line := mem.LineOf(a)
-				if w.Has(line) != refLines[line] {
-					t.Fatalf("seed %d op %d: Has(%d) = %v, want %v", seed, op, line, w.Has(line), refLines[line])
+				var want uint64
+				wok := false
+				if lw, ok := ref.Line(line); ok && lw.Mask&(1<<mem.WordOf(a)) != 0 {
+					want, wok = lw.Words[mem.WordOf(a)], true
+				}
+				for _, l := range []*WriteLog{&w, &ref} {
+					if got, ok := l.Load(a); ok != wok || got != want {
+						t.Fatalf("seed %d op %d: Load(%d) = %d,%v want %d,%v", seed, op, a, got, ok, want, wok)
+					}
+				}
+				if w.Has(line) != ref.Has(line) {
+					t.Fatalf("seed %d op %d: Has(%d) = %v, want %v", seed, op, line, w.Has(line), ref.Has(line))
 				}
 			default: // store
 				v := r.Uint64()
 				first := w.Store(a, v)
-				line := mem.LineOf(a)
-				if first != !refLines[line] {
-					t.Fatalf("seed %d op %d: Store(%d) first = %v, want %v", seed, op, a, first, !refLines[line])
+				if want := ref.Store(a, v); first != want {
+					t.Fatalf("seed %d op %d: Store(%d) first = %v, want %v", seed, op, a, first, want)
 				}
-				if first {
-					refLines[line] = true
-					refOrder = append(refOrder, line)
-				}
-				ref[a] = v
 			}
 		}
 		lines := w.Lines()
-		if len(lines) != len(refOrder) {
-			t.Fatalf("seed %d: %d lines, want %d", seed, len(lines), len(refOrder))
+		if len(lines) != ref.Len() {
+			t.Fatalf("seed %d: %d lines, want %d", seed, len(lines), ref.Len())
 		}
 		for i, l := range lines {
-			if l != refOrder[i] {
-				t.Fatalf("seed %d: Lines()[%d] = %d, want %d", seed, i, l, refOrder[i])
+			rl, want := ref.At(i)
+			if l != rl {
+				t.Fatalf("seed %d: Lines()[%d] = %d, want %d", seed, i, l, rl)
 			}
 			gl, ok := w.Line(l)
 			if !ok {
@@ -122,73 +113,78 @@ func TestWriteLogMatchesMap(t *testing.T) {
 			if al != l || ap != gl {
 				t.Fatalf("seed %d: At(%d) = (%d,%p), want (%d,%p)", seed, i, al, ap, l, gl)
 			}
-			for word := 0; word < mem.WordsPerLine; word++ {
-				a := mem.WordAddr(l, word)
-				if v, wok := ref[a]; wok {
-					if gl.Mask&(1<<word) == 0 || gl.Words[word] != v {
-						t.Fatalf("seed %d: line %d word %d = %d mask %v, want %d", seed, l, word, gl.Words[word], gl.Mask&(1<<word) != 0, v)
-					}
-				} else if gl.Mask&(1<<word) != 0 {
-					t.Fatalf("seed %d: line %d word %d spuriously masked", seed, l, word)
-				}
+			if *gl != *want {
+				t.Fatalf("seed %d: line %d buffers %+v, want %+v", seed, l, *gl, *want)
 			}
 		}
 	}
 }
 
-// TestLineMapValuesSurviveGrowth pins the value lane across rehashes:
-// entries inserted before several growth rounds keep their values.
+// TestLineMapValuesSurviveGrowth pins the value lane across rehashes (and
+// the reference mode's slab appends): entries inserted before several
+// growth rounds keep their values.
 func TestLineMapValuesSurviveGrowth(t *testing.T) {
-	var m LineMap[uint64]
-	const n = 1000
-	for i := 0; i < n; i++ {
-		v, first := m.Put(mem.Line(i * 7))
-		if !first {
-			t.Fatalf("line %d: duplicate insert", i*7)
+	for _, reference := range []bool{false, true} {
+		var m LineMap[uint64]
+		if reference {
+			m.SetReference()
 		}
-		*v = uint64(i) + 1
-	}
-	for i := 0; i < n; i++ {
-		v, ok := m.Get(mem.Line(i * 7))
-		if !ok || *v != uint64(i)+1 {
-			t.Fatalf("line %d: value lost across growth (got %v, ok %v)", i*7, v, ok)
+		const n = 1000
+		for i := 0; i < n; i++ {
+			v, first := m.Put(mem.Line(i * 7))
+			if !first {
+				t.Fatalf("reference=%v line %d: duplicate insert", reference, i*7)
+			}
+			*v = uint64(i) + 1
+		}
+		for i := 0; i < n; i++ {
+			v, ok := m.Get(mem.Line(i * 7))
+			if !ok || *v != uint64(i)+1 {
+				t.Fatalf("reference=%v line %d: value lost across growth (got %v, ok %v)", reference, i*7, v, ok)
+			}
 		}
 	}
 }
 
-// TestResetKeepsCapacity proves the recycling contract: after a Reset, a
-// transaction-sized reuse of the set allocates nothing and observes a
-// pristine value lane.
+// TestResetKeepsCapacity proves the recycling contract in both modes:
+// after a Reset, a transaction-sized reuse of the set allocates nothing
+// and observes a pristine value lane.
 func TestResetKeepsCapacity(t *testing.T) {
-	var s LineMap[struct{}]
-	var w WriteLog
-	for i := 0; i < 128; i++ {
-		s.Put(mem.Line(i))
-		w.Store(mem.WordAddr(mem.Line(i), i%mem.WordsPerLine), uint64(i))
-	}
-	s.Reset()
-	w.Reset()
-	if s.Len() != 0 || w.Len() != 0 {
-		t.Fatalf("Reset left %d/%d entries", s.Len(), w.Len())
-	}
-	if got, ok := w.Load(mem.WordAddr(3, 3)); ok {
-		t.Fatalf("Reset left a loadable word: %d", got)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, reference := range []bool{false, true} {
+		var s LineMap[struct{}]
+		var w WriteLog
+		if reference {
+			s.SetReference()
+			w.SetReference()
+		}
 		for i := 0; i < 128; i++ {
 			s.Put(mem.Line(i))
 			w.Store(mem.WordAddr(mem.Line(i), i%mem.WordsPerLine), uint64(i))
 		}
-		for i := 0; i < 128; i++ {
-			if !s.Has(mem.Line(i)) {
-				t.Fatal("lost line after reset")
-			}
-		}
 		s.Reset()
 		w.Reset()
-	})
-	if allocs != 0 {
-		t.Errorf("reused set allocates %v allocs/op, want 0", allocs)
+		if s.Len() != 0 || w.Len() != 0 {
+			t.Fatalf("reference=%v: Reset left %d/%d entries", reference, s.Len(), w.Len())
+		}
+		if got, ok := w.Load(mem.WordAddr(3, 3)); ok {
+			t.Fatalf("reference=%v: Reset left a loadable word: %d", reference, got)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 128; i++ {
+				s.Put(mem.Line(i))
+				w.Store(mem.WordAddr(mem.Line(i), i%mem.WordsPerLine), uint64(i))
+			}
+			for i := 0; i < 128; i++ {
+				if !s.Has(mem.Line(i)) {
+					t.Fatal("lost line after reset")
+				}
+			}
+			s.Reset()
+			w.Reset()
+		})
+		if allocs != 0 {
+			t.Errorf("reference=%v: reused set allocates %v allocs/op, want 0", reference, allocs)
+		}
 	}
 }
 

@@ -20,6 +20,9 @@ type WriteLog struct {
 	m LineMap[LineWords]
 }
 
+// SetReference switches the empty log to LineMap's reference mode.
+func (w *WriteLog) SetReference() { w.m.SetReference() }
+
 // Len returns the number of written lines.
 func (w *WriteLog) Len() int { return w.m.Len() }
 

@@ -24,9 +24,10 @@
 //
 // Access tracking uses the signature-backed tables of internal/aset
 // (write sets, promoted-read sets, and epoch-stamped visible-reader
-// records), mirroring the fixed hardware set structures of real HTMs. The
-// pre-aset map-based engine is kept verbatim in slow.go as a differential
-// oracle behind Config.ReferenceSets.
+// records), mirroring the fixed hardware set structures of real HTMs.
+// Config.ReferenceSets runs every one of those tables in aset.LineMap's
+// map-backed reference mode, the differential oracle for the open
+// addressing and the signatures.
 package core
 
 import (
@@ -64,9 +65,10 @@ type Config struct {
 	// CommitOverhead is the fixed cycle cost of obtaining an end
 	// timestamp and initiating the commit.
 	CommitOverhead uint64
-	// ReferenceSets routes transactions through the verbatim map-based
-	// access-set implementation (slow.go), the differential oracle for
-	// the aset fast path. Results are bit-identical to the default; only
+	// ReferenceSets runs the write logs and SI-TM's promoted, read,
+	// reader and last-writer tables in aset.LineMap's map-backed
+	// reference mode, the differential oracle for the open addressing and
+	// the signatures. Results are bit-identical to the default; only
 	// simulator wall time changes.
 	ReferenceSets bool
 	// ReferenceStore backs the presence filters (and, via MVM.
@@ -90,10 +92,9 @@ func DefaultConfig() Config {
 // Engine is the SI-TM transactional memory. The embedded eager.Base
 // holds the memory system, stats, tracer, batching switch and per-thread
 // recycling. Batching is admitted for plain SI-TM with the fast cache
-// model and fast access sets: SSI-TM is excluded — its read paths mutate
-// shared reader tables and its read-only commits take order-sensitive
-// clock reads — as are the reference models, whose hits rewrite
-// observable state.
+// model: SSI-TM is excluded — its read paths mutate shared reader tables
+// and its read-only commits take order-sensitive clock reads — as is the
+// reference cache, whose hits rewrite observable state.
 type Engine struct {
 	eager.Base
 	cfg    Config
@@ -124,10 +125,6 @@ type Engine struct {
 	// every active snapshot simply fails the concurrency test, and
 	// recycling bumps the epoch exactly as for reader records.
 	lastWriter aset.LineMap[writerRec]
-
-	// slow holds the reference map-based implementation state (slow.go),
-	// nil unless cfg.ReferenceSets.
-	slow *slowState
 }
 
 // New creates an SI-TM engine.
@@ -156,11 +153,12 @@ func New(cfg Config) *Engine {
 	// Each promised read (tm.Txn.PromiseReads) adds L1Latency, the
 	// smallest read charge; no peer dooms an SI-TM reader, so nothing
 	// revokes a promise.
-	e.Init(name, cfg.Cache, cfg.ReferenceStore, cfg.CommitOverhead+cfg.Cache.L1Latency, cfg.Cache.L1Latency,
-		!cfg.Serializable && !cfg.ReferenceSets && !cfg.Cache.Reference)
+	e.Init(name, cfg.Cache, cfg.ReferenceStore, cfg.ReferenceSets, cfg.CommitOverhead+cfg.Cache.L1Latency, cfg.Cache.L1Latency,
+		!cfg.Serializable && !cfg.Cache.Reference)
 	e.liveReader = e.readerLive
 	if cfg.ReferenceSets {
-		e.slow = newSlowState(cfg.Serializable)
+		e.readers.SetReference()
+		e.lastWriter.SetReference()
 	}
 	return e
 }
@@ -183,9 +181,7 @@ func (e *Engine) Clock() *clock.Clock { return e.clk }
 // outside a running transaction: every recycled transaction object holds
 // empty sets (eager.Base.Audit), and every reader list compacts to
 // nothing. It reports the lowest offending thread. tmtest calls it after
-// each conformance cell. The reference (map-based) path keeps the
-// pre-aset engine's own lifecycle — maps are cleared at Begin, readers
-// pruned periodically — so its sets are not audited.
+// each conformance cell.
 func (e *Engine) AuditAccessSets() error {
 	if n := e.active.Len(); n != 0 {
 		return fmt.Errorf("%s: %d transactions active after quiescence", e.Name(), n)
@@ -195,9 +191,6 @@ func (e *Engine) AuditAccessSets() error {
 	}
 	if err := e.mem.AuditVersions(); err != nil {
 		return fmt.Errorf("%s: %v after quiescence", e.Name(), err)
-	}
-	if e.cfg.ReferenceSets {
-		return nil
 	}
 	if err := e.Audit(); err != nil {
 		return err
@@ -295,9 +288,6 @@ type writerRec struct {
 // the software rendering of the paper's starter stall (§4.2) — then takes
 // a unique start timestamp, which creates the logical snapshot.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	for e.clk.MustStall() {
 		e.clk.Stalls++
 		e.Stats().Stalls++
@@ -309,6 +299,10 @@ func (e *Engine) Begin(t *sched.Thread) tm.Txn {
 	tx, _ := e.Recycle(t.ID()).(*txn)
 	if tx == nil || !e.canRecycle(tx) {
 		tx = &txn{e: e}
+		if e.cfg.ReferenceSets {
+			tx.promoted.SetReference()
+			tx.reads.SetReference()
+		}
 	}
 	tx.start = e.clk.Begin()
 	tx.epoch++

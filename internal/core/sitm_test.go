@@ -257,6 +257,34 @@ func TestPromotedReadForcesAbort(t *testing.T) {
 	}
 }
 
+// TestConcurrentPromotedCommitsRevalidate runs Listing 1's withdrawals
+// with both balance reads promoted on two threads whose commits overlap:
+// each commit's early pass over its promoted lines runs before the other
+// commit installs, so only the pass after the installs can see the
+// other's version. At least one withdrawal must abort.
+func TestConcurrentPromotedCommitsRevalidate(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		e := New(DefaultConfig())
+		e.Promote("balance")
+		checking, saving := addr(1), addr(2)
+		e.NonTxWrite(checking, 60)
+		e.NonTxWrite(saving, 60)
+		var errs [2]error
+		sched.New(2, seed).Run(func(th *sched.Thread) {
+			errs[th.ID()] = tm.RunOnce(e, th, func(tx tm.Txn) error {
+				c, s := tx.Site("balance").Read(checking), tx.Read(saving)
+				if c+s > 100 {
+					tx.Site("").Write([]mem.Addr{checking, saving}[th.ID()], 0)
+				}
+				return nil
+			})
+		})
+		if errs[0] == nil && errs[1] == nil {
+			t.Errorf("seed %d: both withdrawals committed despite promoted reads", seed)
+		}
+	}
+}
+
 func TestWordGranularityDismissesFalseSharing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WordGranularity = true

@@ -28,18 +28,20 @@ type Base struct {
 	readSlack  uint64
 	readCharge uint64
 	batchable  bool
+	refSets    bool
 }
 
 // Init names the engine and builds its memory system (referenceStore:
-// the dense backing, the paged store's oracle). readSlack is the slack a
-// thread publishes outside a writer's critical section, readCharge the
-// smallest charge of one read (each promised or reserved read adds it to
-// the slack; see Attempt.PromiseReads); batchable says whether the
+// the dense backing, the paged store's oracle; referenceSets: write logs
+// in aset.LineMap's reference mode). readSlack is the slack a thread
+// publishes outside a writer's critical section, readCharge the smallest
+// charge of one read (each promised or reserved read adds it to the
+// slack; see Attempt.PromiseReads); batchable says whether the
 // configuration admits batching.
-func (e *Base) Init(name string, c cache.Config, referenceStore bool, readSlack, readCharge uint64, batchable bool) {
+func (e *Base) Init(name string, c cache.Config, referenceStore, referenceSets bool, readSlack, readCharge uint64, batchable bool) {
 	e.Caches = cache.NewSystem(c, referenceStore)
 	e.name, e.readSlack, e.readCharge = name, readSlack, readCharge
-	e.batchable, e.Batch = batchable, batchable
+	e.batchable, e.Batch, e.refSets = batchable, batchable, referenceSets
 }
 
 // Name implements tm.Engine.
@@ -104,6 +106,9 @@ func (e *Base) Open(x *Attempt, self tm.Txn, t *sched.Thread) {
 		}
 		x.base, x.Hier, x.self = e, e.Caches.Core(id), self
 		e.lastTxn[id] = x
+		if e.refSets {
+			x.Writes.SetReference()
+		}
 	}
 	e.TxnSeq++
 	x.Thread, x.id, x.Label, x.Finished = t, e.TxnSeq, "", false

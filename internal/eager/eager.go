@@ -31,8 +31,8 @@ type Engine struct {
 // Init is Base.Init plus the reference backing of the word store and
 // reader bitmaps. readSlack is the slack a thread publishes while its
 // transaction has written nothing, readCharge the smallest read charge.
-func (e *Engine) Init(name string, c cache.Config, referenceStore bool, readSlack, readCharge uint64, batchable bool) {
-	e.Base.Init(name, c, referenceStore, readSlack, readCharge, batchable)
+func (e *Engine) Init(name string, c cache.Config, referenceStore, referenceSets bool, readSlack, readCharge uint64, batchable bool) {
+	e.Base.Init(name, c, referenceStore, referenceSets, readSlack, readCharge, batchable)
 	if referenceStore {
 		e.Words.SetReference()
 		e.Readers.SetReference()

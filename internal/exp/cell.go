@@ -75,8 +75,9 @@ type CellConfig struct {
 	// RefCache runs the cell with the reference memory-hierarchy model
 	// (cache.SlowHierarchy) instead of the way-predicted fast path.
 	RefCache bool `json:"ref_cache,omitempty"`
-	// RefSets runs the cell with the reference map-based access-set
-	// implementation instead of the internal/aset fast path.
+	// RefSets runs the cell with the engines' aset.LineMap tables in
+	// their map-backed reference mode instead of open addressing with
+	// Bloom signatures (tm.EngineOptions.ReferenceSets).
 	RefSets bool `json:"ref_sets,omitempty"`
 	// RefStore runs the cell with the retained dense mem backing for the
 	// engines' per-word/per-line tables, the MVM's version table and the

@@ -31,8 +31,9 @@ func figureBytes(t *testing.T, o Options) []byte {
 //   - cache: the verbatim memory-hierarchy model (cache.SlowHierarchy)
 //     instead of the way-predicted one (random-stream tests in
 //     internal/cache);
-//   - sets: each engine's map-based slow.go instead of the aset access
-//     sets (property tests in internal/aset);
+//   - sets: the engines' aset.LineMap tables in their map-backed
+//     reference mode instead of open addressing with Bloom signatures
+//     (property tests in internal/aset);
 //   - store: the retained dense mem backing instead of the paged one
 //     (property tests in internal/mem).
 //

@@ -16,9 +16,8 @@ import (
 // inside engine packages and packages that import the scheduler —
 // internal/eager holds every engine's write log — per-transaction
 // read/write sets are the signature-backed tables of
-// internal/aset, not mem.Line-keyed Go maps; map-based tracking is
-// allowed only in slow.go, the verbatim reference oracle behind
-// EngineOptions.ReferenceSets.
+// internal/aset, not mem.Line-keyed Go maps. The map-backed reference
+// mode behind EngineOptions.ReferenceSets lives inside aset.LineMap.
 var EngineLint = &Analyzer{
 	Name: "enginelint",
 	Doc: `engines must be constructed through the tm registry and track accesses with internal/aset
@@ -32,9 +31,8 @@ New constructor.
 A mem.Line-keyed map in an engine package reintroduces the map-backed
 access tracking the aset fast path replaced: it allocates per
 transaction, hashes per access, and resets in O(capacity). Use
-aset.LineMap (LineMap[struct{}] for a set of lines) or aset.WriteLog;
-the only map-based sets allowed are in slow.go, the unchanged reference
-oracle.`,
+aset.LineMap (LineMap[struct{}] for a set of lines) or aset.WriteLog,
+whose SetReference selects their map-backed reference mode.`,
 	Run: runEngineLint,
 }
 
@@ -101,13 +99,11 @@ func packageDefinesEngine(pkg *types.Package, iface *types.Interface) bool {
 	return false
 }
 
-// checkLineMaps flags mem.Line-keyed map types anywhere outside the
-// reference oracle (slow.go) and tests: engine access sets must use
-// internal/aset.
+// checkLineMaps flags mem.Line-keyed map types anywhere outside tests:
+// engine access sets must use internal/aset.
 func checkLineMaps(pass *Pass) {
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if base == "slow.go" || strings.HasSuffix(base, "_test.go") {
+		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -119,7 +115,7 @@ func checkLineMaps(pass *Pass) {
 			if key == nil || !isMemLine(key) {
 				return true
 			}
-			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineMap/WriteLog); map-based tracking is allowed only in slow.go, the reference oracle")
+			pass.Reportf(mt.Pos(), "mem.Line-keyed map in engine package: track access sets with internal/aset (LineMap/WriteLog)")
 			return true
 		})
 	}

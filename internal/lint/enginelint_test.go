@@ -15,8 +15,8 @@ func TestEngineLint(t *testing.T) {
 }
 
 // TestEngineLintAccessSets checks the access-set rule: mem.Line-keyed
-// maps are flagged inside engine-defining packages, except in slow.go
-// (the reference oracle); thread-ID- and string-keyed maps pass.
+// maps are flagged inside engine-defining packages; thread-ID- and
+// string-keyed maps pass.
 func TestEngineLintAccessSets(t *testing.T) {
 	analysistest.RunTest(t, analysistest.Testdata(), lint.EngineLint, "enginesets")
 }

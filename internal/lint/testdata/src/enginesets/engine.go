@@ -1,6 +1,6 @@
 // Package enginesets is an enginelint fixture: an engine-defining package
 // whose access sets must use internal/aset. mem.Line-keyed maps are
-// flagged everywhere except slow.go (the reference oracle).
+// flagged everywhere.
 package enginesets
 
 import (

@@ -16,9 +16,7 @@
 // (upper bound clamps), active transactions that wrote any of them must
 // serialize after it (lower bound raises). A transaction whose interval
 // empties can no longer be ordered and aborts. The broadcast tests a
-// peer's reader bit and probes its write log's signature. The pre-aset
-// map-based engine is kept verbatim in slow.go as a differential oracle
-// behind Config.ReferenceSets.
+// peer's reader bit and probes its write log's signature.
 //
 // Reads and writes that hit this core's private caches batch under the
 // conductor's horizon (sched.Thread.TickHinted): their after-charge
@@ -64,8 +62,9 @@ type Config struct {
 	HistoryCheckCost uint64
 	// CommitOverhead is the fixed commit setup cost.
 	CommitOverhead uint64
-	// ReferenceSets (slow.go's map-based sets) and ReferenceStore (dense
-	// tables) select the differential oracles; results are identical.
+	// ReferenceSets (write logs in aset.LineMap's map-backed reference
+	// mode) and ReferenceStore (dense tables) select the differential
+	// oracles; results are identical.
 	ReferenceSets, ReferenceStore bool
 }
 
@@ -98,11 +97,6 @@ type Engine struct {
 	// broadcast effect (interval raises/clamps, doom flags) is
 	// commutative, so the swap-remove order is unobservable.
 	active []*txn
-
-	// Reference map-based implementation state (slow.go), used only when
-	// cfg.ReferenceSets.
-	activeSlow  []*slowTxn
-	lastTxnSlow map[int]*slowTxn
 }
 
 // New creates a SONTM engine. Its read-phase slack is L1Latency: the
@@ -110,10 +104,7 @@ type Engine struct {
 // position, lies behind at least one write charge of L1Latency or more.
 func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
-	e.Init("SONTM", cfg.Cache, cfg.ReferenceStore, cfg.Cache.L1Latency, cfg.Cache.L1Latency, !cfg.ReferenceSets && !cfg.Cache.Reference)
-	if cfg.ReferenceSets {
-		e.lastTxnSlow = make(map[int]*slowTxn)
-	}
+	e.Init("SONTM", cfg.Cache, cfg.ReferenceStore, cfg.ReferenceSets, cfg.Cache.L1Latency, cfg.Cache.L1Latency, !cfg.Cache.Reference)
 	if cfg.ReferenceStore {
 		e.writeNums.SetReference()
 		e.readNums.SetReference()
@@ -122,7 +113,7 @@ func New(cfg Config) *Engine {
 }
 
 // AuditAccessSets checks eager.Engine.Audit and an empty active list
-// after quiescence (the reference path leaves both empty).
+// after quiescence.
 func (e *Engine) AuditAccessSets() error {
 	if n := len(e.active); n != 0 {
 		return fmt.Errorf("SONTM: %d transactions still active after quiescence", n)
@@ -144,9 +135,6 @@ type txn struct {
 
 // Begin implements tm.Engine.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	tx, _ := e.Recycle(t.ID()).(*txn)
 	if tx == nil {
 		tx = &txn{e: e}

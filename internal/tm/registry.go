@@ -31,9 +31,10 @@ type EngineOptions struct {
 	// are bit-identical to the default; only simulator wall time
 	// changes.
 	ReferenceCache bool
-	// ReferenceSets routes every transaction through the verbatim
-	// map-based access-set implementation (each engine's slow.go), the
-	// differential oracle for the signature-backed internal/aset fast
+	// ReferenceSets runs every aset.LineMap in the engines — the write
+	// logs and SI-TM's promoted, read, reader and last-writer tables — in
+	// its map-backed reference mode, the differential oracle for the
+	// open addressing and Bloom signatures of the internal/aset fast
 	// path. Results are bit-identical to the default; only simulator
 	// wall time changes.
 	ReferenceSets bool

@@ -11,11 +11,12 @@ import (
 )
 
 // TestBrokenPromisesPanic pins the read-promise contract of tm.Txn on
-// every registered engine, by default and on its reference sets. With
-// promised or reserved reads outstanding, Write, Commit and an explicit
-// Abort break the promise: an engine that honours promises (it published
-// slack for them) panics, naming the transaction and both counts, and
-// one that does not — SSI-TM, the reference sets — carries on. A
+// every registered engine, by default and on its reference sets, which
+// batch and honour promises alike. With promised or reserved reads
+// outstanding, Write, Commit and an explicit Abort break the promise: an
+// engine that honours promises (it published slack for them) panics,
+// naming the transaction and both counts, and one that does not —
+// SSI-TM, which never batches — carries on. A
 // conflict abort drops promise and reserve instead: a scanner that a
 // peer's write of line 1 aborts mid-scan unwinds without a panic.
 func TestBrokenPromisesPanic(t *testing.T) {
@@ -33,7 +34,7 @@ func TestBrokenPromisesPanic(t *testing.T) {
 					}
 					return e
 				}
-				want := honours[name] && !refSets
+				want := honours[name]
 				// Each way leaves one read outstanding after a read:
 				// a promise of two, or a reserve of one.
 				ways := []struct {

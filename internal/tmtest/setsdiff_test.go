@@ -11,12 +11,15 @@ import (
 
 // TestAccessSetDifferential pins the signature-backed access tracking
 // (internal/aset) at the engine level: for every registered engine, across
-// thread counts and seeds, the aset fast path and the verbatim map-based
-// reference implementation (each engine's slow.go, selected by
-// EngineOptions.ReferenceSets) produce bit-identical engine statistics,
-// makespans, final memory state and cache statistics. Any divergence means
-// the fast path changed a conflict verdict, a write-back value or a
-// charged cost, which would silently shift every figure in the evaluation.
+// thread counts and seeds, the engines' aset.LineMap tables in their
+// open-addressing mode and in their map-backed reference mode (selected
+// by EngineOptions.ReferenceSets) produce bit-identical engine
+// statistics, makespans, final memory state and cache statistics. Any
+// divergence means the open addressing or a Bloom signature changed a
+// conflict verdict, a write-back value or a charged cost, which would
+// silently shift every figure in the evaluation. Both legs run the same
+// engine code, so engine-logic faults are left to the conformance,
+// quiescence-audit and model-checking tests.
 // The per-structure property tests live in internal/aset and the
 // report-level gate in internal/harness; this sweep proves the equivalence
 // survives real engine access patterns, including commit-time broadcast

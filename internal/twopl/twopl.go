@@ -9,9 +9,7 @@
 // get-exclusive write aborts every other reader and writer of the line.
 // Read and write sets are exact: read holds are eager.Engine.Readers'
 // bitmaps and the writer hold is one pointer per line. Commits serialize
-// on a commit token and write the log back to memory. The pre-aset
-// map-based engine is kept verbatim in slow.go as a differential oracle
-// behind Config.ReferenceSets.
+// on a commit token and write the log back to memory.
 //
 // A transaction that has written nothing can batch its reads under the
 // conductor's horizon (sched.Thread.TickHinted): its next get-exclusive
@@ -59,8 +57,9 @@ type Config struct {
 	InterruptPeriod int
 	// InterruptCost is the handler overhead charged per interrupt.
 	InterruptCost uint64
-	// ReferenceSets (slow.go's map-based sets) and ReferenceStore (dense
-	// tables) select the differential oracles; results are identical.
+	// ReferenceSets (write logs in aset.LineMap's map-backed reference
+	// mode) and ReferenceStore (dense tables) select the differential
+	// oracles; results are identical.
 	ReferenceSets, ReferenceStore bool
 }
 
@@ -77,11 +76,6 @@ type Engine struct {
 	// writers holds each line's live writer, nil when none.
 	writers mem.Paged[*eager.Txn]
 
-	// Reference map-based implementation state (slow.go), used only when
-	// cfg.ReferenceSets.
-	linesSlow   mem.Dense[*slowLineState]
-	lastTxnSlow map[int]*slowTxn
-
 	commitBusy  bool
 	accessCount int
 }
@@ -91,11 +85,8 @@ type Engine struct {
 func New(cfg Config) *Engine {
 	e := &Engine{cfg: cfg}
 	access := cfg.Cache.L1Latency + cfg.BroadcastCost
-	e.Init("2PL", cfg.Cache, cfg.ReferenceStore, access, access,
-		!cfg.ReferenceSets && !cfg.Cache.Reference && cfg.InterruptPeriod <= 0)
-	if cfg.ReferenceSets {
-		e.lastTxnSlow = make(map[int]*slowTxn)
-	}
+	e.Init("2PL", cfg.Cache, cfg.ReferenceStore, cfg.ReferenceSets, access, access,
+		!cfg.Cache.Reference && cfg.InterruptPeriod <= 0)
 	if cfg.ReferenceStore {
 		e.writers.SetReference()
 	}
@@ -103,7 +94,7 @@ func New(cfg Config) *Engine {
 }
 
 // AuditAccessSets checks eager.Engine.Audit and that no line holds a
-// writer after quiescence (the reference path leaves both empty).
+// writer after quiescence.
 //
 //sitm:allow(yieldlint) quiescent audit scan, runs after every simulated thread has finished
 func (e *Engine) AuditAccessSets() error {
@@ -126,9 +117,6 @@ type txn struct {
 
 // Begin implements tm.Engine.
 func (e *Engine) Begin(t *sched.Thread) tm.Txn {
-	if e.cfg.ReferenceSets {
-		return e.beginSlow(t)
-	}
 	tx, _ := e.Recycle(t.ID()).(*txn)
 	if tx == nil {
 		tx = &txn{e: e}
